@@ -1,6 +1,6 @@
 //! Error types shared across the unbundled kernel.
 
-use crate::ids::{DcId, TableId, TcId, TxnId};
+use crate::ids::{DcId, RequestId, TableId, TcId, TxnId};
 use crate::key::Key;
 use std::fmt;
 
@@ -96,6 +96,15 @@ pub enum TcError {
         /// The shard-map epoch installed at the rejecting TC.
         epoch: u64,
     },
+    /// A DC answered a read, scan or probe with a result of the wrong
+    /// shape (a malformed or misrouted reply). The operation failed;
+    /// nothing was changed at the DC.
+    UnexpectedReply {
+        /// The DC that was asked.
+        dc: DcId,
+        /// The request whose reply was unusable.
+        req: RequestId,
+    },
 }
 
 impl fmt::Display for TcError {
@@ -115,6 +124,9 @@ impl fmt::Display for TcError {
                     f,
                     "{tc} rejected forward: stale shard map (its epoch {epoch})"
                 )
+            }
+            TcError::UnexpectedReply { dc, req } => {
+                write!(f, "{dc} answered {req} with a reply of the wrong shape")
             }
         }
     }

@@ -21,9 +21,9 @@
 //!   and the merge rule used by page consolidation.
 //! * [`ids`] — component / page / table / transaction identifiers.
 //! * [`key`] — byte-ordered record keys with composite-key helpers.
-//! * [`record`] — stored record representation, including the
-//!   *before-version* scheme of Section 6.2.2 that enables cross-TC
-//!   read-committed sharing without two-phase commit.
+//! * [`record`] — stored record representation: one commit-LSN version
+//!   chain per record, serving MVCC snapshots and the Section 6.2.2
+//!   cross-TC read-committed sharing without two-phase commit.
 //! * [`op`] — the logical (record-oriented) operations a TC may submit and
 //!   their results; operation inverses are what the TC logs for undo.
 //! * [`msg`] — the TC:DC API of Section 4.2.1: `perform_operation`,
@@ -57,5 +57,5 @@ pub use key::Key;
 pub use lsn::{AbstractLsn, DLsn, Lsn, PerTcAbLsn};
 pub use msg::{DataComponentApi, DcToTc, TcToDc};
 pub use op::{LogicalOp, OpResult, ReadFlavor};
-pub use record::{BeforeVersion, StoredRecord, TableSpec};
+pub use record::{StoredRecord, TableSpec};
 pub use shard::{range_owner, range_owners, route_point, TcShardMap};

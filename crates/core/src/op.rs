@@ -27,8 +27,11 @@ pub enum ReadFlavor {
     /// is a *dirty read* (Section 6.2.1) — always well-formed thanks to
     /// operation atomicity, but possibly uncommitted.
     Latest,
-    /// *Read committed* over versioned data (Section 6.2.2): sees the
-    /// before-version while an update is pending; never blocks.
+    /// *Read committed* (Section 6.2.2): the newest version carrying a
+    /// commit stamp, whatever its LSN — so a reader TC in a different
+    /// LSN space can use it. While a write is in flight (or rolled back
+    /// but not yet overwritten) it sees the committed version beneath;
+    /// never blocks.
     Committed,
     /// MVCC snapshot read: the newest version whose **commit LSN** is
     /// `<=` the given LSN. Uncommitted and not-yet-stamped data is
@@ -64,9 +67,12 @@ pub enum LogicalOp {
         /// Record key.
         key: Key,
     },
-    /// Versioned insert-or-update (Section 6.2.2): installs `value` as an
-    /// uncommitted version, retaining the committed state (or an "absent"
-    /// marker) as the before-version.
+    /// Versioned insert-or-update (Section 6.2.2): installs `value` as
+    /// the unstamped head of the record's version chain. The committed
+    /// state beneath stays in the chain (nothing there for an insert),
+    /// which is why the inverse needs no before-image. The
+    /// transaction's [`LogicalOp::StampCommit`] commits it — the
+    /// paper's "eliminate the before version".
     VersionedWrite {
         /// Target (versioned) table.
         table: TableId,
@@ -75,26 +81,21 @@ pub enum LogicalOp {
         /// New (uncommitted) payload.
         value: Vec<u8>,
     },
-    /// Post-commit: drop the before-version, making the update committed.
-    PromoteVersion {
-        /// Target (versioned) table.
-        table: TableId,
-        /// Record key.
-        key: Key,
-    },
-    /// Abort: remove the uncommitted version, restoring the
-    /// before-version (removing the record if it was a versioned insert).
+    /// Abort (the paper's "remove the new version"): drop the unstamped
+    /// head of the chain and reinstate the newest stamped version
+    /// beneath it, removing the record if there is none (a versioned
+    /// insert). A no-op on a record whose head is stamped.
     RevertVersion {
         /// Target (versioned) table.
         table: TableId,
         /// Record key.
         key: Key,
     },
-    /// Post-commit MVCC bookkeeping: stamp the version created by op
-    /// LSN `op` with the transaction's `commit` LSN, publishing it to
+    /// Post-commit: stamp the version created by op LSN `op` with the
+    /// transaction's `commit` LSN, publishing it to committed and
     /// snapshot readers. Identified by the creating op's LSN so that
     /// resends and reordering cannot stamp a later write by mistake.
-    /// Redo-only (like `PromoteVersion`): never undone.
+    /// Redo-only: never undone.
     StampCommit {
         /// Target table.
         table: TableId,
@@ -148,7 +149,6 @@ impl LogicalOp {
             | LogicalOp::Update { table, .. }
             | LogicalOp::Delete { table, .. }
             | LogicalOp::VersionedWrite { table, .. }
-            | LogicalOp::PromoteVersion { table, .. }
             | LogicalOp::RevertVersion { table, .. }
             | LogicalOp::StampCommit { table, .. }
             | LogicalOp::Read { table, .. }
@@ -164,7 +164,6 @@ impl LogicalOp {
             | LogicalOp::Update { key, .. }
             | LogicalOp::Delete { key, .. }
             | LogicalOp::VersionedWrite { key, .. }
-            | LogicalOp::PromoteVersion { key, .. }
             | LogicalOp::RevertVersion { key, .. }
             | LogicalOp::StampCommit { key, .. }
             | LogicalOp::Read { key, .. } => Some(key),
@@ -181,7 +180,6 @@ impl LogicalOp {
                 | LogicalOp::Update { .. }
                 | LogicalOp::Delete { .. }
                 | LogicalOp::VersionedWrite { .. }
-                | LogicalOp::PromoteVersion { .. }
                 | LogicalOp::RevertVersion { .. }
                 | LogicalOp::StampCommit { .. }
         )
@@ -191,7 +189,7 @@ impl LogicalOp {
     /// (`prior = None` means the record did not exist).
     ///
     /// Returns `None` for reads (nothing to undo) and for the version
-    /// bookkeeping operations: `PromoteVersion` runs only after commit and
+    /// bookkeeping operations: `StampCommit` runs only after commit and
     /// `RevertVersion` only during abort — neither is ever itself undone
     /// (they are redo-only, like compensation records).
     pub fn inverse(&self, prior: Option<&[u8]>) -> Option<LogicalOp> {
@@ -210,15 +208,14 @@ impl LogicalOp {
                 key: key.clone(),
                 value: prior.expect("delete undo requires prior value").to_vec(),
             }),
-            // A versioned write is undone by reverting to the retained
-            // before-version — the DC holds the prior state, so the TC
-            // needs no prior payload.
+            // A versioned write is undone by reverting to the committed
+            // version beneath it in the chain — the DC holds the prior
+            // state, so the TC needs no prior payload.
             LogicalOp::VersionedWrite { table, key, .. } => Some(LogicalOp::RevertVersion {
                 table: *table,
                 key: key.clone(),
             }),
-            LogicalOp::PromoteVersion { .. }
-            | LogicalOp::RevertVersion { .. }
+            LogicalOp::RevertVersion { .. }
             | LogicalOp::StampCommit { .. }
             | LogicalOp::Read { .. }
             | LogicalOp::ScanRange { .. }
@@ -233,7 +230,6 @@ impl LogicalOp {
             LogicalOp::Update { .. } => "update",
             LogicalOp::Delete { .. } => "delete",
             LogicalOp::VersionedWrite { .. } => "vwrite",
-            LogicalOp::PromoteVersion { .. } => "promote",
             LogicalOp::RevertVersion { .. } => "revert",
             LogicalOp::StampCommit { .. } => "stamp",
             LogicalOp::Read { .. } => "read",
@@ -368,14 +364,6 @@ mod tests {
             None
         );
         assert_eq!(
-            LogicalOp::PromoteVersion {
-                table: t(),
-                key: Key::from_u64(1)
-            }
-            .inverse(None),
-            None
-        );
-        assert_eq!(
             LogicalOp::RevertVersion {
                 table: t(),
                 key: Key::from_u64(1)
@@ -403,7 +391,7 @@ mod tests {
             value: vec![]
         }
         .is_mutation());
-        assert!(LogicalOp::PromoteVersion {
+        assert!(LogicalOp::RevertVersion {
             table: t(),
             key: Key::from_u64(1)
         }

@@ -1,38 +1,45 @@
-//! Stored record representation: the *versioned data* scheme of Section
-//! 6.2.2 plus the MVCC version chain that backs snapshot reads.
+//! Stored record representation: one commit-LSN version chain per
+//! record, serving every read flavor — latest, read-committed (the
+//! *versioned data* sharing of Section 6.2.2) and MVCC snapshots.
 //!
-//! For unversioned tables a record is its payload (plus the owning TC's
-//! id, the "link" of Section 6.1.2 that associates each record with the
-//! single per-TC abLSN on the page so a failed TC's records can be
-//! selectively reset).
+//! A record is its latest payload plus the owning TC's id (the "link" of
+//! Section 6.1.2 that associates each record with the single per-TC
+//! abLSN on the page so a failed TC's records can be selectively reset)
+//! plus a short history of *committed* payloads keyed by **commit LSN**
+//! (the redo log totally orders commits).
 //!
-//! For versioned tables, an update produces a new *uncommitted* version
-//! while retaining the *before* version; an insert installs a "null"
-//! before version. When the updating TC commits it sends operations that
-//! eliminate the before versions (promote); on abort it sends operations
-//! that remove the new versions (revert). Readers from other TCs read the
-//! before version when present — committed data, with no blocking and no
-//! two-phase commit.
-//!
-//! ## MVCC version chain
-//!
-//! Every record additionally keeps a short history of *committed*
-//! payloads keyed by **commit LSN** (the redo log totally orders
-//! commits). A mutation installs its payload as `current` with
+//! A mutation installs its payload as `current` with
 //! `current_commit = None`; the TC's post-commit [`StampCommit`]
 //! operation fills in the commit LSN, publishing the version to
-//! snapshot readers. When a later write displaces a stamped `current`,
-//! the displaced payload moves into `versions`; a displaced *unstamped*
-//! payload (an intermediate write of the same transaction, or an aborted
-//! write) parks in `staged` until garbage collection reclaims it.
-//! Deletes become tombstones (`tomb`) so a snapshot older than the
-//! delete can still see the record; tombstoned records are physically
-//! removed only once no retained snapshot can need them.
+//! committed and snapshot readers. When a later write displaces a
+//! stamped `current`, the displaced payload moves into `versions`; a
+//! displaced *unstamped* payload (an intermediate write of the same
+//! transaction, or an aborted write) parks in `staged` until garbage
+//! collection reclaims it. Deletes become tombstones (`tomb`) so a
+//! snapshot older than the delete can still see the record; tombstoned
+//! records are physically removed only once no retained snapshot can
+//! need them.
+//!
+//! ## Section 6.2.2 on the chain
+//!
+//! The paper keeps a *before* version under every uncommitted update so
+//! that readers from other TCs see committed data with no blocking and
+//! no two-phase commit: "on commit the TC sends operations that
+//! eliminate the before versions; on abort, operations that remove the
+//! new versions". Here the before version is simply the newest stamped
+//! entry of the chain: [`StoredRecord::read_committed`] returns it while
+//! `current` is unstamped, [`StampCommit`] is the commit-side operation
+//! (once `current` is stamped it *is* the newest committed version, and
+//! GC eliminates the older one), and [`StoredRecord::revert`] is the
+//! abort-side operation (drop the unstamped `current`, reinstate the
+//! newest stamped version).
 //!
 //! Commit LSNs are meaningful only within one TC's log. When ownership
-//! of a record moves to a different TC the history is cleared: versions
-//! from the old owner's LSN space are not comparable to the new owner's
-//! snapshot positions.
+//! of a record moves to a different TC, the old owner's newest committed
+//! payload is kept as a single floor version at [`Lsn::NULL`]
+//! ("committed before this owner's log began") and the rest of the
+//! history is dropped: versions from the old owner's LSN space are not
+//! comparable to the new owner's snapshot positions.
 //!
 //! [`StampCommit`]: crate::op::LogicalOp::StampCommit
 
@@ -41,29 +48,18 @@ use crate::error::CoreError;
 use crate::ids::TcId;
 use crate::lsn::Lsn;
 
-/// The retained committed state underneath an uncommitted update.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum BeforeVersion {
-    /// The record did not exist before (the pending update is an insert);
-    /// read-committed readers treat the record as absent.
-    Absent,
-    /// The committed payload before the pending update.
-    Value(Vec<u8>),
-}
-
 /// A record as stored in a DC.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StoredRecord {
-    /// Latest payload (committed for unversioned tables; possibly
-    /// uncommitted for versioned tables while `before` is `Some`).
+    /// Latest payload: committed once `current_commit` is set,
+    /// otherwise an in-flight (or rolled-back) write.
     pub current: Vec<u8>,
-    /// Retained before-version (versioned tables only).
-    pub before: Option<BeforeVersion>,
     /// The TC whose update produced `current` (Section 6.1.2).
     pub owner: TcId,
     /// True if the latest operation was a delete: the record is absent
-    /// to latest/committed readers but its history still serves
-    /// snapshots older than the delete.
+    /// to latest readers (and, once the delete is stamped, to committed
+    /// readers) but its history still serves snapshots older than the
+    /// delete.
     pub tomb: bool,
     /// LSN of the operation that produced `current` (what a
     /// `StampCommit` matches against).
@@ -87,7 +83,6 @@ impl StoredRecord {
     pub fn committed(payload: Vec<u8>, owner: TcId) -> Self {
         StoredRecord {
             current: payload,
-            before: None,
             owner,
             tomb: false,
             current_op: Lsn(0),
@@ -102,7 +97,6 @@ impl StoredRecord {
     pub fn new(payload: Vec<u8>, owner: TcId, op: Lsn) -> Self {
         StoredRecord {
             current: payload,
-            before: None,
             owner,
             tomb: false,
             current_op: op,
@@ -112,16 +106,12 @@ impl StoredRecord {
         }
     }
 
-    /// Payload visible to a read-committed reader from *another* TC:
-    /// the before version if one is pending, else the current payload.
-    /// `None` means "record absent" for that reader.
+    /// Payload visible to a read-committed reader (Section 6.2.2): the
+    /// newest *stamped* version, whatever its commit LSN — no LSN is
+    /// compared, so the answer is valid for a reader TC in a different
+    /// LSN space. `None` means "record absent" for that reader.
     pub fn read_committed(&self) -> Option<&[u8]> {
-        match &self.before {
-            Some(BeforeVersion::Absent) => None,
-            Some(BeforeVersion::Value(v)) => Some(v),
-            None if self.tomb => None,
-            None => Some(&self.current),
-        }
+        self.read_snapshot(Lsn::MAX)
     }
 
     /// Payload visible to the owning TC (its own latest write) and to
@@ -151,36 +141,33 @@ impl StoredRecord {
             .and_then(|(_, v)| v.as_deref())
     }
 
-    /// True if an uncommitted version is pending.
-    pub fn has_pending(&self) -> bool {
-        self.before.is_some()
-    }
-
     /// Move `current` into the history (`versions` if stamped, `staged`
-    /// if its stamp never arrived) ahead of an overwrite.
-    fn displace(&mut self) {
+    /// if its stamp never arrived) ahead of a write by `writer`. A
+    /// change of owner rebases the history instead: the old owner's
+    /// commit LSNs are not comparable in the new owner's log, so only
+    /// its newest committed payload survives, as a floor version at
+    /// [`Lsn::NULL`] that keeps committed readers served while the new
+    /// owner's first write is in flight.
+    fn displace(&mut self, writer: TcId) {
         let old = std::mem::take(&mut self.current);
         let payload = if self.tomb { None } else { Some(old) };
         match self.current_commit.take() {
             Some(c) => self.versions.push((c, payload)),
             None => self.staged.push((self.current_op, payload)),
         }
+        if writer != self.owner {
+            let newest = self.versions.pop().and_then(|(_, v)| v);
+            self.versions.clear();
+            self.staged.clear();
+            self.versions.extend(newest.map(|v| (Lsn::NULL, Some(v))));
+        }
     }
 
     /// Overwrite with a new (unstamped) payload, retaining the old
     /// state in the version chain. Clears a tombstone (insert-over-
-    /// delete). A change of owner drops the history: the old owner's
-    /// commit LSNs are not comparable in the new owner's log.
+    /// delete).
     pub fn overwrite(&mut self, payload: Vec<u8>, owner: TcId, op: Lsn) {
-        if owner != self.owner {
-            self.versions.clear();
-            self.staged.clear();
-            self.current_commit = None;
-            self.current.clear();
-            self.tomb = false;
-        } else {
-            self.displace();
-        }
+        self.displace(owner);
         self.current = payload;
         self.owner = owner;
         self.tomb = false;
@@ -191,13 +178,7 @@ impl StoredRecord {
     /// Delete: become an (unstamped) tombstone, retaining the old state
     /// in the version chain.
     pub fn delete(&mut self, owner: TcId, op: Lsn) {
-        if owner != self.owner {
-            self.versions.clear();
-            self.staged.clear();
-            self.current_commit = None;
-        } else {
-            self.displace();
-        }
+        self.displace(owner);
         self.current = Vec::new();
         self.owner = owner;
         self.tomb = true;
@@ -249,7 +230,6 @@ impl StoredRecord {
     /// rollback of an insert).
     pub fn tomb_reclaimable(&self, floor: Lsn) -> bool {
         self.tomb
-            && self.before.is_none()
             && self.versions.is_empty()
             && self.staged.is_empty()
             && match self.current_commit {
@@ -264,50 +244,26 @@ impl StoredRecord {
         self.versions.len() + self.staged.len()
     }
 
-    /// Apply a versioned update: keep the committed state as the before
-    /// version (first update wins the slot — later updates by the same
-    /// transaction must not overwrite the original committed state).
-    pub fn versioned_update(&mut self, new_payload: Vec<u8>, owner: TcId, op: Lsn) {
-        if self.before.is_none() {
-            self.before = Some(BeforeVersion::Value(self.current.clone()));
-        }
-        self.overwrite(new_payload, owner, op);
-    }
-
-    /// Commit the pending version: drop the before version.
-    pub fn promote(&mut self) {
-        self.before = None;
-    }
-
-    /// Abort the pending version: restore the before version. Returns
-    /// `false` if the record should be removed entirely (the pending
-    /// update was an insert).
+    /// Abort the in-flight write (Section 6.2.2 "remove the new
+    /// version"): drop an unstamped `current` and reinstate the newest
+    /// stamped version — GC always retains it while `current` is
+    /// unstamped. Returns `false` if there is none and the record
+    /// should be removed entirely (the write was an insert). A stamped
+    /// `current` is left alone: the second revert of a transaction that
+    /// wrote the key twice finds the first already restored it.
     #[must_use]
     pub fn revert(&mut self) -> bool {
-        match self.before.take() {
-            Some(BeforeVersion::Absent) => false,
-            Some(BeforeVersion::Value(v)) => {
-                // The displaced committed state was pushed into the
-                // version history when the pending version was
-                // installed; reclaim it so the chain again excludes
-                // `current`.
-                let reclaim = self
-                    .versions
-                    .last()
-                    .map(|(_, val)| val.as_deref() == Some(v.as_slice()))
-                    .unwrap_or(false);
-                self.current_commit = if reclaim {
-                    self.versions.pop().map(|(c, _)| c)
-                } else {
-                    None
-                };
-                self.current = v;
-                self.current_op = Lsn(0);
-                self.tomb = false;
-                true
-            }
-            None => true,
+        if self.current_commit.is_some() {
+            return true;
         }
+        let Some((commit, payload)) = self.versions.pop() else {
+            return false;
+        };
+        self.tomb = payload.is_none();
+        self.current = payload.unwrap_or_default();
+        self.current_op = Lsn::NULL;
+        self.current_commit = Some(commit);
+        true
     }
 
     fn version_entry_size(v: &Option<Vec<u8>>) -> usize {
@@ -342,11 +298,6 @@ impl StoredRecord {
 
     /// Encoded size in a page image.
     pub fn encoded_size(&self) -> usize {
-        let before = match &self.before {
-            None => 1,
-            Some(BeforeVersion::Absent) => 1,
-            Some(BeforeVersion::Value(v)) => 1 + 4 + v.len(),
-        };
         let commit = match self.current_commit {
             None => 1,
             Some(_) => 1 + 8,
@@ -357,21 +308,13 @@ impl StoredRecord {
             .chain(self.staged.iter())
             .map(|(_, v)| Self::version_entry_size(v))
             .sum();
-        2 + 4 + self.current.len() + before + 1 + 8 + commit + 4 + 4 + chain
+        2 + 4 + self.current.len() + 1 + 8 + commit + 4 + 4 + chain
     }
 
     /// Serialize into a page image.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.u16(self.owner.0);
         enc.bytes(&self.current);
-        match &self.before {
-            None => enc.u8(0),
-            Some(BeforeVersion::Absent) => enc.u8(1),
-            Some(BeforeVersion::Value(v)) => {
-                enc.u8(2);
-                enc.bytes(v);
-            }
-        }
         enc.bool(self.tomb);
         enc.u64(self.current_op.0);
         match self.current_commit {
@@ -395,17 +338,6 @@ impl StoredRecord {
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, CoreError> {
         let owner = TcId(dec.u16()?);
         let current = dec.bytes()?.to_vec();
-        let before = match dec.u8()? {
-            0 => None,
-            1 => Some(BeforeVersion::Absent),
-            2 => Some(BeforeVersion::Value(dec.bytes()?.to_vec())),
-            _ => {
-                return Err(CoreError::Codec {
-                    what: "bad before-version tag",
-                    at: 0,
-                })
-            }
-        };
         let tomb = dec.bool()?;
         let current_op = Lsn(dec.u64()?);
         let current_commit = match dec.u8()? {
@@ -430,7 +362,6 @@ impl StoredRecord {
         }
         Ok(StoredRecord {
             current,
-            before,
             owner,
             tomb,
             current_op,
@@ -448,8 +379,8 @@ pub struct TableSpec {
     pub id: crate::ids::TableId,
     /// Human-readable name.
     pub name: String,
-    /// Whether the table keeps before-versions for cross-TC
-    /// read-committed sharing (Section 6.2.2).
+    /// Whether the table is shared across TCs read-committed (Section
+    /// 6.2.2): it takes only `VersionedWrite`/`RevertVersion` mutations.
     pub versioned: bool,
 }
 
@@ -483,44 +414,97 @@ mod tests {
         assert_eq!(r.read_committed(), Some(&b"v1"[..]));
         assert_eq!(r.read_latest(), Some(&b"v1"[..]));
         assert_eq!(r.read_snapshot(Lsn(0)), Some(&b"v1"[..]));
-        assert!(!r.has_pending());
     }
 
     #[test]
-    fn versioned_update_exposes_before_to_readers() {
+    fn committed_readers_see_the_newest_stamped_version() {
         let mut r = StoredRecord::committed(b"old".to_vec(), TcId(1));
-        r.versioned_update(b"new".to_vec(), TcId(1), Lsn(5));
+        r.overwrite(b"new".to_vec(), TcId(1), Lsn(5));
         assert_eq!(r.read_latest(), Some(&b"new"[..]), "owner sees its write");
         assert_eq!(
             r.read_committed(),
             Some(&b"old"[..]),
             "readers see committed"
         );
-        r.promote();
+        assert!(r.stamp(Lsn(5), Lsn(7)), "the stamp is the promote");
         assert_eq!(r.read_committed(), Some(&b"new"[..]));
     }
 
     #[test]
-    fn double_update_preserves_original_before() {
-        let mut r = StoredRecord::committed(b"v0".to_vec(), TcId(1));
-        r.versioned_update(b"v1".to_vec(), TcId(1), Lsn(5));
-        r.versioned_update(b"v2".to_vec(), TcId(1), Lsn(6));
-        assert_eq!(r.read_committed(), Some(&b"v0"[..]));
-        assert!(r.revert());
-        assert_eq!(r.read_latest(), Some(&b"v0"[..]));
-        assert_eq!(
-            r.current_commit,
-            Some(Lsn(0)),
-            "revert reclaims the displaced committed state"
-        );
+    fn committed_read_is_not_dirty_on_an_unstamped_record() {
+        // What a plain-table insert looks like before its commit stamp:
+        // `Committed` must not degrade to a dirty read.
+        let mut r = StoredRecord::new(b"new".to_vec(), TcId(2), Lsn(7));
+        assert_eq!(r.read_committed(), None);
+        assert_eq!(r.read_latest(), Some(&b"new"[..]));
+        assert!(r.stamp(Lsn(7), Lsn(8)));
+        assert_eq!(r.read_committed(), Some(&b"new"[..]));
     }
 
     #[test]
-    fn versioned_insert_is_absent_to_readers_until_commit() {
+    fn revert_of_an_update_reinstates_the_committed_version() {
+        let mut r = StoredRecord::new(b"v0".to_vec(), TcId(1), Lsn(3));
+        assert!(r.stamp(Lsn(3), Lsn(4)));
+        r.overwrite(b"v1".to_vec(), TcId(1), Lsn(5));
+        assert!(r.revert());
+        assert_eq!(r.read_latest(), Some(&b"v0"[..]));
+        assert_eq!(r.read_committed(), Some(&b"v0"[..]));
+        assert_eq!(
+            r.current_commit,
+            Some(Lsn(4)),
+            "the reinstated version keeps its commit LSN"
+        );
+        assert_eq!(r.chain_len(), 0, "the chain again excludes `current`");
+        assert_eq!(r.read_snapshot(Lsn(3)), None, "and is no older than it was");
+    }
+
+    #[test]
+    fn revert_of_a_versioned_insert_removes_the_record() {
         let mut r = StoredRecord::new(b"new".to_vec(), TcId(2), Lsn(7));
-        r.before = Some(BeforeVersion::Absent);
-        assert_eq!(r.read_committed(), None);
-        assert!(!r.revert(), "revert of an insert removes the record");
+        assert_eq!(r.read_committed(), None, "absent to readers until commit");
+        assert!(!r.revert(), "nothing committed underneath: remove");
+    }
+
+    #[test]
+    fn two_writes_then_two_reverts_restore_the_original() {
+        let mut r = StoredRecord::committed(b"v0".to_vec(), TcId(1));
+        r.overwrite(b"v1".to_vec(), TcId(1), Lsn(5));
+        r.overwrite(b"v2".to_vec(), TcId(1), Lsn(6));
+        assert_eq!(r.read_committed(), Some(&b"v0"[..]));
+        assert!(r.revert());
+        assert_eq!(r.read_latest(), Some(&b"v0"[..]));
+        assert_eq!(r.current_commit, Some(Lsn(0)));
+        let once = r.clone();
+        assert!(r.revert(), "second revert of the same transaction");
+        assert_eq!(r, once, "finds `current` stamped and changes nothing");
+        // The dead intermediate write is reclaimed like any staged entry.
+        assert_eq!(r.gc(Lsn(6)), 1);
+        assert_eq!(r.chain_len(), 0);
+    }
+
+    #[test]
+    fn revert_after_stamp_is_a_no_op() {
+        let mut r = StoredRecord::committed(b"v0".to_vec(), TcId(1));
+        r.overwrite(b"v1".to_vec(), TcId(1), Lsn(5));
+        assert!(r.stamp(Lsn(5), Lsn(7)));
+        let stamped = r.clone();
+        assert!(r.revert());
+        assert_eq!(r, stamped, "a committed version is never reverted");
+    }
+
+    #[test]
+    fn revert_survives_gc_of_the_older_history() {
+        let mut r = StoredRecord::new(b"a".to_vec(), TcId(1), Lsn(10));
+        assert!(r.stamp(Lsn(10), Lsn(12)));
+        r.overwrite(b"b".to_vec(), TcId(1), Lsn(20));
+        assert!(r.stamp(Lsn(20), Lsn(22)));
+        r.overwrite(b"c".to_vec(), TcId(1), Lsn(30));
+        // However far the floor advances, the newest stamped version is
+        // kept while `current` is unstamped: the revert target exists.
+        assert_eq!(r.gc(Lsn(1_000)), 1);
+        assert!(r.revert());
+        assert_eq!(r.read_committed(), Some(&b"b"[..]));
+        assert_eq!(r.current_commit, Some(Lsn(22)));
     }
 
     #[test]
@@ -543,9 +527,14 @@ mod tests {
         assert!(r.stamp(Lsn(10), Lsn(12)));
         r.delete(TcId(1), Lsn(20));
         assert_eq!(r.read_latest(), None);
-        assert_eq!(r.read_committed(), None);
+        assert_eq!(
+            r.read_committed(),
+            Some(&b"a"[..]),
+            "an uncommitted delete is invisible to committed readers"
+        );
         assert_eq!(r.read_snapshot(Lsn(12)), Some(&b"a"[..]));
         assert!(r.stamp(Lsn(20), Lsn(22)));
+        assert_eq!(r.read_committed(), None);
         assert_eq!(r.read_snapshot(Lsn(22)), None, "snapshot sees the delete");
         assert!(!r.tomb_reclaimable(Lsn(12)));
         assert_eq!(r.gc(Lsn(22)), 1);
@@ -585,12 +574,57 @@ mod tests {
     }
 
     #[test]
-    fn ownership_change_clears_history() {
+    fn ownership_change_keeps_a_floor_version() {
         let mut r = StoredRecord::new(b"a".to_vec(), TcId(1), Lsn(10));
         assert!(r.stamp(Lsn(10), Lsn(12)));
-        r.overwrite(b"b".to_vec(), TcId(2), Lsn(3));
-        assert_eq!(r.chain_len(), 0, "old owner's LSN space dropped");
+        r.overwrite(b"b".to_vec(), TcId(1), Lsn(20));
+        assert!(r.stamp(Lsn(20), Lsn(22)));
+        // A new owner's first write: the old owner's LSN space is
+        // dropped, but its newest committed payload stays readable
+        // while the write is in flight.
+        r.overwrite(b"c".to_vec(), TcId(2), Lsn(3));
         assert_eq!(r.owner, TcId(2));
+        assert_eq!(r.versions, vec![(Lsn::NULL, Some(b"b".to_vec()))]);
+        assert!(r.staged.is_empty());
+        assert_eq!(r.read_committed(), Some(&b"b"[..]));
+        assert_eq!(
+            r.read_snapshot(Lsn(1)),
+            Some(&b"b"[..]),
+            "committed before the new owner's log began"
+        );
+        assert_eq!(r.read_latest(), Some(&b"c"[..]));
+        // GC in the new owner's LSN space keeps the floor while the
+        // write is unstamped, and prunes it once the write commits.
+        assert_eq!(r.gc(Lsn(3)), 0);
+        assert!(r.stamp(Lsn(3), Lsn(4)));
+        assert_eq!(r.read_snapshot(Lsn(3)), Some(&b"b"[..]));
+        assert_eq!(r.read_snapshot(Lsn(4)), Some(&b"c"[..]));
+        assert_eq!(r.read_committed(), Some(&b"c"[..]));
+        assert_eq!(r.gc(Lsn(4)), 1);
+        assert_eq!(r.chain_len(), 0);
+    }
+
+    #[test]
+    fn ownership_change_floor_skips_uncommitted_and_deleted_state() {
+        // The old owner's `current` never committed: the floor is the
+        // newest *stamped* payload, and a new owner's revert lands on it.
+        let mut r = StoredRecord::new(b"a".to_vec(), TcId(1), Lsn(10));
+        assert!(r.stamp(Lsn(10), Lsn(12)));
+        r.overwrite(b"dirty".to_vec(), TcId(1), Lsn(20));
+        r.overwrite(b"c".to_vec(), TcId(2), Lsn(3));
+        assert_eq!(r.read_committed(), Some(&b"a"[..]));
+        assert!(r.revert());
+        assert_eq!(r.read_latest(), Some(&b"a"[..]));
+        assert_eq!(r.current_commit, Some(Lsn::NULL));
+        // A committed delete leaves no floor: the record is absent.
+        let mut d = StoredRecord::new(b"a".to_vec(), TcId(1), Lsn(10));
+        assert!(d.stamp(Lsn(10), Lsn(12)));
+        d.delete(TcId(1), Lsn(20));
+        assert!(d.stamp(Lsn(20), Lsn(22)));
+        d.overwrite(b"c".to_vec(), TcId(2), Lsn(3));
+        assert_eq!(d.chain_len(), 0);
+        assert_eq!(d.read_committed(), None);
+        assert_eq!(d.read_snapshot(Lsn(100)), None);
     }
 
     #[test]
@@ -600,14 +634,11 @@ mod tests {
         stamped.overwrite(b"y".to_vec(), TcId(1), Lsn(9));
         let mut tomb = StoredRecord::new(b"t".to_vec(), TcId(4), Lsn(2));
         tomb.delete(TcId(4), Lsn(3));
-        let mut vers = StoredRecord::committed(b"y".to_vec(), TcId(9));
-        vers.before = Some(BeforeVersion::Value(b"z".to_vec()));
         for r in [
             StoredRecord::committed(b"abc".to_vec(), TcId(3)),
             StoredRecord::new(b"x".to_vec(), TcId(1), Lsn(44)),
             stamped,
             tomb,
-            vers,
         ] {
             let mut e = Encoder::new();
             r.encode(&mut e);

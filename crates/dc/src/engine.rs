@@ -540,19 +540,12 @@ impl DcEngine {
             },
             LogicalOp::VersionedWrite { key, value, .. } => {
                 match leaf.find_mut(key) {
-                    Some(rec) => rec.versioned_update(value.clone(), tc, lsn),
+                    Some(rec) => rec.overwrite(value.clone(), tc, lsn),
                     None => {
-                        let mut rec = StoredRecord::new(value.clone(), tc, lsn);
-                        rec.before = Some(unbundled_core::BeforeVersion::Absent);
-                        let inserted = leaf.insert(key.clone(), rec);
+                        let inserted =
+                            leaf.insert(key.clone(), StoredRecord::new(value.clone(), tc, lsn));
                         debug_assert!(inserted);
                     }
-                }
-                Ok(false)
-            }
-            LogicalOp::PromoteVersion { key, .. } => {
-                if let Some(rec) = leaf.find_mut(key) {
-                    rec.promote();
                 }
                 Ok(false)
             }
@@ -589,9 +582,7 @@ impl DcEngine {
         let table = self.table(op.table())?;
         let versioned_op = matches!(
             op,
-            LogicalOp::VersionedWrite { .. }
-                | LogicalOp::PromoteVersion { .. }
-                | LogicalOp::RevertVersion { .. }
+            LogicalOp::VersionedWrite { .. } | LogicalOp::RevertVersion { .. }
         );
         let plain_op = matches!(
             op,

@@ -1,8 +1,9 @@
 //! DC-side counters and histograms backing the experiments.
 //!
 //! All metrics live in a per-instance [`Registry`] (one per engine),
-//! named `dc.*`; [`DcSnapshot`] stays as the stable, field-per-stat
-//! public view, now materialized from a single registry pass.
+//! named `dc.*`; [`DcSnapshot`] is the field-per-stat public view,
+//! declared by the same `dc_stats!` list and materialized from a single
+//! registry pass.
 //!
 //! Snapshot semantics: the registry pass reads every counter once,
 //! back-to-back under the registry lock. Each field is individually
@@ -37,6 +38,12 @@ macro_rules! dc_stats {
                     registry: Arc::new(registry),
                 }
             }
+        }
+
+        /// Point-in-time copy of the [`DcStats`] counters.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct DcSnapshot {
+            $( $(#[$doc])* pub $field: u64, )+
         }
 
         impl DcStats {
@@ -121,57 +128,6 @@ dc_stats! {
     versions_stamped => "dc.versions_stamped", "commit stamps applied";
     /// Point reads served at snapshot isolation (lock-free MVCC reads).
     snapshot_reads => "dc.snapshot_reads", "snapshot point reads served";
-}
-
-/// Point-in-time copy of [`DcStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DcSnapshot {
-    /// Mutations applied.
-    pub ops_applied: u64,
-    /// Duplicates suppressed.
-    pub duplicates_suppressed: u64,
-    /// Out-of-order arrivals.
-    pub out_of_order: u64,
-    /// Reads served.
-    pub reads: u64,
-    /// Page splits.
-    pub splits: u64,
-    /// Page consolidations.
-    pub consolidations: u64,
-    /// Pages flushed.
-    pub flushes: u64,
-    /// Flush waits.
-    pub flush_waits: u64,
-    /// Freeze backoffs.
-    pub freeze_backoffs: u64,
-    /// Evictions.
-    pub evictions: u64,
-    /// Pages reset.
-    pub pages_reset: u64,
-    /// Records reset.
-    pub records_reset: u64,
-    /// abLSN bytes flushed.
-    pub ablsn_bytes_flushed: u64,
-    /// Ship batches applied.
-    pub ship_batches_applied: u64,
-    /// Shipped records applied.
-    pub ship_records_applied: u64,
-    /// Ship batches dropped on a stream gap.
-    pub ship_gap_drops: u64,
-    /// Re-delivered stream groups skipped at the frontier.
-    pub ship_groups_skipped: u64,
-    /// Shipped records replayed into a logical error.
-    pub ship_apply_errors: u64,
-    /// Fenced mutation rejections.
-    pub fenced_rejects: u64,
-    /// Version-chain entries created.
-    pub versions_created: u64,
-    /// Version-chain entries pruned by GC.
-    pub versions_pruned: u64,
-    /// Commit stamps applied.
-    pub versions_stamped: u64,
-    /// Snapshot reads served.
-    pub snapshot_reads: u64,
 }
 
 #[cfg(test)]

@@ -730,111 +730,106 @@ fn versioned_table_lifecycle() {
     let owner = TcId(1);
     let reader = TcId(2);
     let key = Key::from_u64(1);
+    let mut next_read = 0u64;
+    let mut read = |flavor| {
+        next_read += 1;
+        let op = LogicalOp::Read {
+            table: vt,
+            key: key.clone(),
+            flavor,
+        };
+        fx.engine
+            .perform(reader, RequestId::Read(next_read), &op)
+            .unwrap()
+            .into_value()
+    };
+    let write = |lsn, value: &[u8]| {
+        let op = LogicalOp::VersionedWrite {
+            table: vt,
+            key: key.clone(),
+            value: value.to_vec(),
+        };
+        fx.engine
+            .perform(owner, RequestId::Op(Lsn(lsn)), &op)
+            .unwrap();
+    };
+    let revert = |lsn| {
+        let op = LogicalOp::RevertVersion {
+            table: vt,
+            key: key.clone(),
+        };
+        fx.engine
+            .perform(owner, RequestId::Op(Lsn(lsn)), &op)
+            .unwrap();
+    };
     // Uncommitted insert: invisible to read-committed, visible dirty.
-    fx.engine
-        .perform(
-            owner,
-            RequestId::Op(Lsn(1)),
-            &LogicalOp::VersionedWrite {
-                table: vt,
-                key: key.clone(),
-                value: b"draft".to_vec(),
-            },
-        )
-        .unwrap();
-    let rc = fx
-        .engine
-        .perform(
-            reader,
-            RequestId::Read(1),
-            &LogicalOp::Read {
-                table: vt,
-                key: key.clone(),
-                flavor: ReadFlavor::Committed,
-            },
-        )
-        .unwrap();
+    write(1, b"draft");
     assert_eq!(
-        rc,
-        OpResult::Value(None),
+        read(ReadFlavor::Committed),
+        None,
         "read committed must not see the draft"
     );
-    let dirty = fx
-        .engine
-        .perform(
-            reader,
-            RequestId::Read(2),
-            &LogicalOp::Read {
-                table: vt,
-                key: key.clone(),
-                flavor: ReadFlavor::Latest,
-            },
-        )
-        .unwrap();
     assert_eq!(
-        dirty,
-        OpResult::Value(Some(b"draft".to_vec())),
+        read(ReadFlavor::Latest),
+        Some(b"draft".to_vec()),
         "dirty read sees it"
     );
-    // Commit: promote.
-    fx.engine
-        .perform(
-            owner,
-            RequestId::Op(Lsn(2)),
-            &LogicalOp::PromoteVersion {
-                table: vt,
-                key: key.clone(),
-            },
-        )
-        .unwrap();
-    let rc = fx
-        .engine
-        .perform(
-            reader,
-            RequestId::Read(3),
-            &LogicalOp::Read {
-                table: vt,
-                key: key.clone(),
-                flavor: ReadFlavor::Committed,
-            },
-        )
-        .unwrap();
-    assert_eq!(rc, OpResult::Value(Some(b"draft".to_vec())));
-    // Update + abort: revert restores the committed version.
+    // Commit: the stamp is the promote.
     fx.engine
         .perform(
             owner,
             RequestId::Op(Lsn(3)),
-            &LogicalOp::VersionedWrite {
+            &LogicalOp::StampCommit {
                 table: vt,
                 key: key.clone(),
-                value: b"edit".to_vec(),
+                op: Lsn(1),
+                commit: Lsn(2),
             },
         )
         .unwrap();
+    assert_eq!(read(ReadFlavor::Committed), Some(b"draft".to_vec()));
+    // Two updates in one transaction + abort: the first revert restores
+    // the committed version, the second finds nothing left to do.
+    write(4, b"edit");
+    write(5, b"edit again");
+    assert_eq!(read(ReadFlavor::Committed), Some(b"draft".to_vec()));
+    assert_eq!(read(ReadFlavor::Latest), Some(b"edit again".to_vec()));
+    revert(6);
+    revert(7);
+    assert_eq!(read(ReadFlavor::Committed), Some(b"draft".to_vec()));
+    assert_eq!(read(ReadFlavor::Latest), Some(b"draft".to_vec()));
+    assert_eq!(
+        read(ReadFlavor::Snapshot(Lsn(2))),
+        Some(b"draft".to_vec()),
+        "the restored version keeps its commit LSN"
+    );
+    // Aborted insert: the revert removes the record outright.
+    let other = Key::from_u64(2);
+    let insert = LogicalOp::VersionedWrite {
+        table: vt,
+        key: other.clone(),
+        value: b"oops".to_vec(),
+    };
     fx.engine
-        .perform(
-            owner,
-            RequestId::Op(Lsn(4)),
-            &LogicalOp::RevertVersion {
-                table: vt,
-                key: key.clone(),
-            },
-        )
+        .perform(owner, RequestId::Op(Lsn(8)), &insert)
         .unwrap();
-    let rc = fx
-        .engine
-        .perform(
-            reader,
-            RequestId::Read(4),
-            &LogicalOp::Read {
-                table: vt,
-                key,
-                flavor: ReadFlavor::Committed,
-            },
-        )
+    let undo = insert.inverse(None).unwrap();
+    fx.engine
+        .perform(owner, RequestId::Op(Lsn(9)), &undo)
         .unwrap();
-    assert_eq!(rc, OpResult::Value(Some(b"draft".to_vec())));
+    let probe = LogicalOp::ProbeKeys {
+        table: vt,
+        from: Key::empty(),
+        count: 8,
+    };
+    assert_eq!(
+        fx.engine
+            .perform(reader, RequestId::Read(0), &probe)
+            .unwrap()
+            .into_keys(),
+        vec![key.clone()],
+        "no tombstone left behind"
+    );
 }
 
 #[test]

@@ -35,19 +35,15 @@ impl Tc {
         let stable_end = self.log.stable();
         let records = self.log.store().read_all_stable();
 
-        // --- Analysis: losers, undo chains, winner promotions, RSSP.
+        // --- Analysis: losers, undo chains, commit stamps, RSSP.
         let mut rssp = Lsn(1);
         let mut losers: HashMap<TxnId, Vec<(Lsn, DcId, LogicalOp)>> = HashMap::new();
-        // Versioned writes per live transaction; committed ones must have
-        // their before-versions eliminated even if the post-commit
-        // promotion records were lost with the log tail (the commit
-        // record alone guarantees eventual promotion — Section 6.2.2).
-        let mut vwrites: HashMap<TxnId, Vec<(DcId, LogicalOp)>> = HashMap::new();
-        let mut winner_promotes: Vec<(DcId, LogicalOp)> = Vec::new();
-        // MVCC commit stamps. A winner's versions must carry its commit
-        // LSN even if the stamp records were lost with the log tail (a
+        // Commit stamps. A winner's versions must carry its commit LSN
+        // even if the stamp records were lost with the log tail (a
         // concurrent force can make the commit record stable before the
-        // stamps are appended): track every live transaction's last
+        // stamps are appended) — the commit record alone guarantees the
+        // versions are eventually published to committed and snapshot
+        // readers (Section 6.2.2): track every live transaction's last
         // write per key, remember each winner's commit point, collect
         // the stamps actually present in the log, and synthesize the
         // missing ones after redo.
@@ -105,22 +101,10 @@ impl Tc {
                                 .insert((*dc, op.table(), k.clone()), Lsn(*seq));
                         }
                     }
-                    if let LogicalOp::VersionedWrite { table, key, .. } = op {
-                        vwrites.entry(*txn).or_default().push((
-                            *dc,
-                            LogicalOp::PromoteVersion {
-                                table: *table,
-                                key: key.clone(),
-                            },
-                        ));
-                    }
                 }
                 TcLogRecord::Commit { txn } => {
                     losers.remove(txn);
                     prepared.remove(txn);
-                    if let Some(p) = vwrites.remove(txn) {
-                        winner_promotes.extend(p);
-                    }
                     if let Some(w) = wtrack.remove(txn) {
                         for ((dc, table, key), op_lsn) in w {
                             stamp_cands.push((dc, table, key, op_lsn, Lsn(*seq)));
@@ -130,7 +114,6 @@ impl Tc {
                 TcLogRecord::Abort { txn } => {
                     losers.remove(txn);
                     prepared.remove(txn);
-                    vwrites.remove(txn);
                     wtrack.remove(txn);
                 }
                 TcLogRecord::Prepare { txn, coord, gtxn } => {
@@ -141,9 +124,6 @@ impl Tc {
                     // winner, and the decision stays pinned until every
                     // participant re-acknowledges it.
                     losers.remove(txn);
-                    if let Some(p) = vwrites.remove(txn) {
-                        winner_promotes.extend(p);
-                    }
                     // A decision with no participants needs no acks;
                     // re-pinning it would block truncation forever.
                     if !participants.is_empty() {
@@ -158,9 +138,6 @@ impl Tc {
                 TcLogRecord::ParticipantCommit { txn } => {
                     losers.remove(txn);
                     prepared.remove(txn);
-                    if let Some(p) = vwrites.remove(txn) {
-                        winner_promotes.extend(p);
-                    }
                     if let Some(w) = wtrack.remove(txn) {
                         for ((dc, table, key), op_lsn) in w {
                             stamp_cands.push((dc, table, key, op_lsn, Lsn(*seq)));
@@ -170,7 +147,6 @@ impl Tc {
                 TcLogRecord::ParticipantAbort { txn } => {
                     losers.remove(txn);
                     prepared.remove(txn);
-                    vwrites.remove(txn);
                     wtrack.remove(txn);
                 }
                 TcLogRecord::RebalanceIntent { .. } => {}
@@ -219,14 +195,8 @@ impl Tc {
             Vec<((DcId, TableId, Key), Lsn)>,
         )> = Vec::new();
         #[allow(clippy::type_complexity)]
-        let mut branch_parks: Vec<(
-            TxnId,
-            TcId,
-            TxnId,
-            Lsn,
-            Vec<(Lsn, DcId, LogicalOp)>,
-            Vec<(DcId, TableId, Key)>,
-        )> = Vec::new();
+        let mut branch_parks: Vec<(TxnId, TcId, TxnId, Lsn, Vec<(Lsn, DcId, LogicalOp)>)> =
+            Vec::new();
         for (txn, (coord, gtxn)) in &prepared {
             if !losers.contains_key(txn) {
                 continue;
@@ -239,9 +209,6 @@ impl Tc {
             match outcome {
                 TwopcOutcome::Committed => {
                     losers.remove(txn);
-                    if let Some(p) = vwrites.remove(txn) {
-                        winner_promotes.extend(p);
-                    }
                     // The branch's versions are stamped at the fresh
                     // ParticipantCommit LSN logged below.
                     let writes = wtrack
@@ -252,17 +219,8 @@ impl Tc {
                 }
                 TwopcOutcome::InDoubt => {
                     let chain = losers.remove(txn).unwrap_or_default();
-                    let promotes = vwrites
-                        .remove(txn)
-                        .unwrap_or_default()
-                        .into_iter()
-                        .filter_map(|(dc, op)| match op {
-                            LogicalOp::PromoteVersion { table, key } => Some((dc, table, key)),
-                            _ => None,
-                        })
-                        .collect();
                     let first = begins.get(txn).copied().unwrap_or(Lsn(1));
-                    branch_parks.push((*txn, *coord, *gtxn, first, chain, promotes));
+                    branch_parks.push((*txn, *coord, *gtxn, first, chain));
                 }
                 // Stays a loser; undone below (with a ParticipantAbort
                 // record instead of Abort).
@@ -324,17 +282,6 @@ impl Tc {
             let _ = self.send_op(dc, RequestId::Op(l), &op, true)?;
         }
 
-        // --- Re-derive winner promotions (idempotent: promoting a
-        // record with no pending version is a no-op).
-        for (dc, op) in winner_promotes {
-            let l = self.log_op_record(TcLogRecord::RedoOnly {
-                txn: TxnId(0),
-                dc,
-                op: op.clone(),
-            });
-            let _ = self.send_op(dc, RequestId::Op(l), &op, true)?;
-        }
-
         // --- Undo losers: inverse operations in reverse LSN order.
         let mut undo_work: Vec<(Lsn, TxnId, DcId, LogicalOp)> = Vec::new();
         for (txn, chain) in &losers {
@@ -384,8 +331,8 @@ impl Tc {
         // --- Park still-in-doubt branches (locks re-acquired) before
         // accepting new work, so conflicting transactions block instead
         // of reading uncommitted state.
-        for (txn, coord, gtxn, first, chain, promotes) in branch_parks {
-            self.park_indoubt_recovered(txn, coord, gtxn, first, &chain, promotes);
+        for (txn, coord, gtxn, first, chain) in branch_parks {
+            self.park_indoubt_recovered(txn, coord, gtxn, first, &chain);
         }
 
         // --- Restart conversation, half two: done; resume.

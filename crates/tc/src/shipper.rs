@@ -11,7 +11,7 @@
 //!   *stream group* positioned at the commit-record LSN; an `Abort`
 //!   discards them (rolled-back work is never shipped, so a replica can
 //!   never serve dirty or rolled-back data); a `RedoOnly` record
-//!   (rollback compensation or post-commit version promotion) is
+//!   (rollback compensation or post-commit version stamp) is
 //!   emitted immediately at its own LSN. Lock-before-log ordering
 //!   guarantees that conflicting operations appear in the stream in
 //!   their serialization order: strict two-phase locking means a
@@ -239,7 +239,7 @@ impl Shipper {
                 g.pending.entry(txn).or_default().push((lsn, dc, op));
             }
             TcLogRecord::RedoOnly { dc, op, .. } => {
-                // Compensations and promotions are shippable the moment
+                // Compensations and commit stamps are shippable the moment
                 // they are stable: a compensation's original may never
                 // have shipped (uncommitted work is withheld), in which
                 // case replaying the inverse is a deterministic no-op or

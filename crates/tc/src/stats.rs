@@ -1,8 +1,9 @@
 //! TC-side counters and histograms backing the experiments.
 //!
 //! All metrics live in a per-instance [`Registry`] (one per TC), named
-//! `tc.*`; [`TcSnapshot`] stays as the stable, field-per-stat public
-//! view, now materialized from a single registry pass.
+//! `tc.*`; [`TcSnapshot`] is the field-per-stat public view, declared
+//! by the same `tc_stats!` list and materialized from a single registry
+//! pass.
 //!
 //! Snapshot semantics: the registry pass reads every counter once,
 //! back-to-back under the registry lock. Each field is individually
@@ -157,6 +158,12 @@ macro_rules! tc_stats {
             }
         }
 
+        /// Point-in-time copy of the [`TcStats`] counters.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct TcSnapshot {
+            $( $(#[$doc])* pub $field: u64, )+
+        }
+
         impl TcStats {
             /// Copy current counter values in one registry pass.
             pub fn snapshot(&self) -> TcSnapshot {
@@ -255,69 +262,6 @@ tc_stats! {
     /// Commit-stamp operations sent to DCs (one per distinct key a
     /// committed transaction wrote).
     stamps_sent => "tc.stamps_sent", "commit stamps sent";
-}
-
-/// Point-in-time copy of [`TcStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TcSnapshot {
-    /// Transactions committed.
-    pub commits: u64,
-    /// Transactions aborted.
-    pub aborts: u64,
-    /// Deadlock-victim aborts.
-    pub deadlock_aborts: u64,
-    /// Logged operations sent.
-    pub ops_sent: u64,
-    /// Operation resends.
-    pub resends: u64,
-    /// Unlogged reads sent.
-    pub reads_sent: u64,
-    /// Stale replies.
-    pub stale_replies: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Redo resends during recovery.
-    pub redo_resends: u64,
-    /// Undo operations sent.
-    pub undo_ops: u64,
-    /// DC recoveries driven.
-    pub dc_recoveries: u64,
-    /// Coalesced (skipped) EOSL/LWM publications.
-    pub publishes_coalesced: u64,
-    /// Coalesced reply batches received.
-    pub reply_batches: u64,
-    /// Ship batches sent.
-    pub ship_batches: u64,
-    /// Redo records shipped.
-    pub ship_records: u64,
-    /// Replica-served reads.
-    pub replica_reads: u64,
-    /// Replica reads that fell back to the primary.
-    pub replica_read_fallbacks: u64,
-    /// Failover promotions driven.
-    pub promotions: u64,
-    /// Participant branches prepared.
-    pub prepares: u64,
-    /// Distributed transactions committed at this coordinator.
-    pub cross_commits: u64,
-    /// Distributed transactions aborted at this coordinator.
-    pub cross_aborts: u64,
-    /// In-doubt participant branches resolved.
-    pub indoubt_resolved: u64,
-    /// Range moves completed at this TC as the source.
-    pub rebalances: u64,
-    /// Stale-epoch forwards rejected at this TC.
-    pub stale_forward_rejects: u64,
-    /// Forwards re-routed by this TC after a stale-epoch rejection.
-    pub stale_forward_reroutes: u64,
-    /// Local ops re-routed after sleeping through a fence resolution.
-    pub fence_reroutes: u64,
-    /// Serializable locking point reads served.
-    pub lock_reads: u64,
-    /// Lock-free MVCC snapshot point reads served from the primary.
-    pub snapshot_reads: u64,
-    /// Commit-stamp operations sent to DCs.
-    pub stamps_sent: u64,
 }
 
 #[cfg(test)]

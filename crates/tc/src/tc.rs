@@ -74,13 +74,6 @@ pub struct TcConfig {
     /// concurrent committer and EOSL/LWM publication is coalesced to one
     /// broadcast per flush.
     pub group_commit: Option<GroupCommitCfg>,
-    /// Feed every executed mutation's route point into the per-TC
-    /// [`KeySketch`](crate::KeySketch) (one relaxed store per mutation).
-    /// On by default; the sketch is what lets the rebalance policy
-    /// split a hot shard at its observed traffic median. Turn off only
-    /// for microbenchmarks chasing the last nanosecond on an unsharded
-    /// deployment.
-    pub key_sketch: bool,
 }
 
 impl Default for TcConfig {
@@ -92,7 +85,6 @@ impl Default for TcConfig {
             scan_protocol: ScanProtocol::fetch_ahead(),
             force_every: 64,
             group_commit: None,
-            key_sketch: true,
         }
     }
 }
@@ -124,8 +116,6 @@ pub(crate) struct TxnState {
     /// Values known under lock: (table, key) → payload (None = absent).
     /// This is where undo information for updates/deletes comes from.
     pub(crate) cache: HashMap<(TableId, Key), Option<Vec<u8>>>,
-    /// Versioned writes requiring post-commit promotion.
-    pub(crate) promotes: Vec<(DcId, TableId, Key)>,
     /// Last write operation LSN per key this transaction mutated — the
     /// version each commit stamp targets (earlier same-transaction
     /// writes are dead the moment they are displaced and are never
@@ -701,7 +691,6 @@ impl Tc {
             undo: Vec::new(),
             touched: HashSet::new(),
             cache: HashMap::new(),
-            promotes: Vec::new(),
             writes: HashMap::new(),
             snapshot: None,
             remotes: HashSet::new(),
@@ -766,6 +755,47 @@ impl Tc {
         }
     }
 
+    /// Send one unlogged request (read, scan or probe) to `dc` and wait
+    /// for its result; a DC-side failure is reported against `txn`.
+    fn ask(&self, txn: TxnId, dc: DcId, op: &LogicalOp) -> Result<(RequestId, OpResult), TcError> {
+        let req = RequestId::Read(self.next_read.fetch_add(1, Ordering::Relaxed));
+        match self.send_op(dc, req, op, false)? {
+            Ok(result) => Ok((req, result)),
+            Err(e) => Err(TcError::OperationFailed(txn, e)),
+        }
+    }
+
+    /// [`Tc::ask`] for a point read. A reply of any other shape is a
+    /// malformed or misrouted message from outside this process: the
+    /// operation fails with [`TcError::UnexpectedReply`].
+    fn ask_value(&self, txn: TxnId, dc: DcId, op: &LogicalOp) -> Result<Option<Vec<u8>>, TcError> {
+        match self.ask(txn, dc, op)? {
+            (_, OpResult::Value(v)) => Ok(v),
+            (req, _) => Err(TcError::UnexpectedReply { dc, req }),
+        }
+    }
+
+    /// [`Tc::ask`] for a range scan (see [`Tc::ask_value`]).
+    fn ask_entries(
+        &self,
+        txn: TxnId,
+        dc: DcId,
+        op: &LogicalOp,
+    ) -> Result<Vec<(Key, Vec<u8>)>, TcError> {
+        match self.ask(txn, dc, op)? {
+            (_, OpResult::Entries(e)) => Ok(e),
+            (req, _) => Err(TcError::UnexpectedReply { dc, req }),
+        }
+    }
+
+    /// [`Tc::ask`] for a key probe (see [`Tc::ask_value`]).
+    fn ask_keys(&self, txn: TxnId, dc: DcId, op: &LogicalOp) -> Result<Vec<Key>, TcError> {
+        match self.ask(txn, dc, op)? {
+            (_, OpResult::Keys(k)) => Ok(k),
+            (req, _) => Err(TcError::UnexpectedReply { dc, req }),
+        }
+    }
+
     /// Known value of a key under lock (from the transaction's read
     /// cache, or fetched now — undo information for updates/deletes).
     fn known_value(
@@ -775,20 +805,19 @@ impl Tc {
         table: TableId,
         key: &Key,
     ) -> Result<Option<Vec<u8>>, TcError> {
-        if let Some(v) = st.lock().cache.get(&(table, key.clone())) {
-            return Ok(v.clone());
-        }
-        let req = RequestId::Read(self.next_read.fetch_add(1, Ordering::Relaxed));
+        let txn = {
+            let g = st.lock();
+            if let Some(v) = g.cache.get(&(table, key.clone())) {
+                return Ok(v.clone());
+            }
+            g.id
+        };
         let op = LogicalOp::Read {
             table,
             key: key.clone(),
             flavor: ReadFlavor::Latest,
         };
-        let value = match self.send_op(dc, req, &op, false)? {
-            Ok(OpResult::Value(v)) => v,
-            Ok(other) => panic!("read returned {other:?}"),
-            Err(e) => return Err(TcError::OperationFailed(st.lock().id, e)),
-        };
+        let value = self.ask_value(txn, dc, &op)?;
         st.lock().cache.insert((table, key.clone()), value.clone());
         Ok(value)
     }
@@ -831,9 +860,7 @@ impl Tc {
         // forwarded op re-enters `mutate` at its owner): feed the key
         // sketch the rebalance policy splits by. Traffic-weighted on
         // purpose — every executed mutation is one sample.
-        if self.cfg.key_sketch {
-            self.stats.keys.record(point);
-        }
+        self.stats.keys.record(point);
         let dc = self.route(table)?.dc_for(&key);
 
         // --- Locking, always before the LSN is drawn (OPSR).
@@ -849,17 +876,12 @@ impl Tc {
             | (ScanProtocol::FetchAhead { .. }, LogicalOp::VersionedWrite { .. }) => {
                 // Next-key (instant) lock: serializes against scans that
                 // locked the edge of the gap this insert lands in.
-                let req = RequestId::Read(self.next_read.fetch_add(1, Ordering::Relaxed));
                 let probe = LogicalOp::ProbeKeys {
                     table,
                     from: key.successor(),
                     count: 1,
                 };
-                let next = match self.send_op(dc, req, &probe, false)? {
-                    Ok(OpResult::Keys(keys)) => keys.into_iter().next(),
-                    Ok(other) => panic!("probe returned {other:?}"),
-                    Err(e) => return Err(TcError::OperationFailed(txn, e)),
-                };
+                let next = self.ask_keys(txn, dc, &probe)?.into_iter().next();
                 let name = Self::edge_lock(table, next.as_ref());
                 self.lock_or_abort(txn, name.clone(), LockMode::X)?;
                 self.locks.unlock(Self::token(txn), &name); // instant duration
@@ -904,10 +926,7 @@ impl Tc {
                     _ => None,
                 };
                 g.cache.insert((table, key.clone()), cached);
-                g.writes.insert((dc, table, key.clone()), lsn);
-                if matches!(op, LogicalOp::VersionedWrite { .. }) {
-                    g.promotes.push((dc, table, key));
-                }
+                g.writes.insert((dc, table, key), lsn);
                 Ok(())
             }
             Err(e) => {
@@ -946,7 +965,7 @@ impl Tc {
     }
 
     /// Versioned insert-or-update on a versioned table (cross-TC
-    /// read-committed sharing, Section 6.2.2). Promoted on commit,
+    /// read-committed sharing, Section 6.2.2). Stamped on commit,
     /// reverted on abort.
     pub fn versioned_write(
         &self,
@@ -1088,13 +1107,7 @@ impl Tc {
     ) -> Result<Option<Vec<u8>>, TcError> {
         self.ensure_available()?;
         let dc = self.route(table)?.dc_for(&key);
-        let req = RequestId::Read(self.next_read.fetch_add(1, Ordering::Relaxed));
-        let op = LogicalOp::Read { table, key, flavor };
-        match self.send_op(dc, req, &op, false)? {
-            Ok(OpResult::Value(v)) => Ok(v),
-            Ok(other) => panic!("read returned {other:?}"),
-            Err(e) => Err(TcError::OperationFailed(TxnId(0), e)),
-        }
+        self.ask_value(TxnId(0), dc, &LogicalOp::Read { table, key, flavor })
     }
 
     /// Lock-free committed range scan (used by reader TCs à la Figure 2's
@@ -1115,7 +1128,6 @@ impl Tc {
             if remaining == Some(0) {
                 break;
             }
-            let req = RequestId::Read(self.next_read.fetch_add(1, Ordering::Relaxed));
             let op = LogicalOp::ScanRange {
                 table,
                 low: low.clone(),
@@ -1123,11 +1135,7 @@ impl Tc {
                 limit: remaining,
                 flavor,
             };
-            match self.send_op(dc, req, &op, false)? {
-                Ok(OpResult::Entries(e)) => out.extend(e),
-                Ok(other) => panic!("scan returned {other:?}"),
-                Err(e) => return Err(TcError::OperationFailed(TxnId(0), e)),
-            }
+            out.extend(self.ask_entries(TxnId(0), dc, &op)?);
         }
         Ok(out)
     }
@@ -1174,7 +1182,6 @@ impl Tc {
             if remaining == Some(0) {
                 break;
             }
-            let req = RequestId::Read(self.next_read.fetch_add(1, Ordering::Relaxed));
             let op = LogicalOp::ScanRange {
                 table,
                 low: low.clone(),
@@ -1182,11 +1189,7 @@ impl Tc {
                 limit: remaining,
                 flavor: ReadFlavor::Latest,
             };
-            match self.send_op(dc, req, &op, false)? {
-                Ok(OpResult::Entries(e)) => out.extend(e),
-                Ok(other) => panic!("scan returned {other:?}"),
-                Err(e) => return Err(TcError::OperationFailed(TxnId(0), e)),
-            }
+            out.extend(self.ask_entries(TxnId(0), dc, &op)?);
         }
         Ok(out)
     }
@@ -1250,7 +1253,6 @@ impl Tc {
                 if !in_range.is_empty() {
                     // Read the locked collection in one request.
                     let upper = in_range.last().unwrap().successor();
-                    let req = RequestId::Read(self.next_read.fetch_add(1, Ordering::Relaxed));
                     let op = LogicalOp::ScanRange {
                         table,
                         low: from.clone(),
@@ -1258,11 +1260,7 @@ impl Tc {
                         limit: None,
                         flavor: ReadFlavor::Latest,
                     };
-                    match self.send_op(dc, req, &op, false)? {
-                        Ok(OpResult::Entries(e)) => out.extend(e),
-                        Ok(other) => panic!("scan returned {other:?}"),
-                        Err(e) => return Err(TcError::OperationFailed(txn, e)),
-                    }
+                    out.extend(self.ask_entries(txn, dc, &op)?);
                     from = upper;
                 }
                 if keys.len() < batch || keys.iter().any(|k| high.map(|h| k >= h).unwrap_or(false))
@@ -1284,17 +1282,12 @@ impl Tc {
         from: &Key,
         count: usize,
     ) -> Result<Vec<Key>, TcError> {
-        let req = RequestId::Read(self.next_read.fetch_add(1, Ordering::Relaxed));
         let op = LogicalOp::ProbeKeys {
             table,
             from: from.clone(),
             count,
         };
-        match self.send_op(dc, req, &op, false)? {
-            Ok(OpResult::Keys(keys)) => Ok(keys),
-            Ok(other) => panic!("probe returned {other:?}"),
-            Err(e) => Err(TcError::OperationFailed(TxnId(0), e)),
-        }
+        self.ask_keys(TxnId(0), dc, &op)
     }
 
     // ------------------------------------------------------------------
@@ -1302,10 +1295,10 @@ impl Tc {
     // ------------------------------------------------------------------
 
     /// Commit: force the commit record (durability) — solo or via group
-    /// commit — then run post-commit version promotions, then release
-    /// locks. A transaction with branches at other TC shards goes
-    /// through two-phase commit over the shards' redo logs instead (the
-    /// forced [`TcLogRecord::CommitDecision`] is its commit point).
+    /// commit — then deliver the commit stamps, then release locks. A
+    /// transaction with branches at other TC shards goes through
+    /// two-phase commit over the shards' redo logs instead (the forced
+    /// [`TcLogRecord::CommitDecision`] is its commit point).
     pub fn commit(&self, txn: TxnId) -> Result<(), TcError> {
         self.ensure_available()?;
         let st = self.txn_state(txn)?;
@@ -1356,40 +1349,38 @@ impl Tc {
 
     /// Single-shard commit (the classical path).
     fn commit_local(&self, txn: TxnId, st: &Arc<Mutex<TxnState>>) -> Result<(), TcError> {
+        let read_only = {
+            let g = st.lock();
+            g.undo.is_empty() && g.writes.is_empty()
+        };
+        let commit_lsn = self.log_bookkeeping(TcLogRecord::Commit { txn });
         // Read-only fast path: nothing was written, so there is nothing
         // to make durable. The commit record is appended for log
         // hygiene but NOT forced — losing it across a crash presumes
         // the transaction aborted, which for a read-only transaction is
         // indistinguishable from commit. Snapshot readers therefore pay
         // neither locks nor a log force.
-        let read_only = {
-            let g = st.lock();
-            g.undo.is_empty() && g.writes.is_empty() && g.promotes.is_empty()
-        };
-        if read_only {
-            self.log_bookkeeping(TcLogRecord::Commit { txn });
-            self.locks.unlock_all(Self::token(txn));
-            self.release_pin(st);
-            self.txns.lock().remove(&txn);
-            obs::close_span(st.lock().span, "tc.txn");
-            TcStats::bump(&self.stats.commits);
-            return Ok(());
+        if !read_only {
+            // Stamp records are logged *before* the force so one flush
+            // covers the commit record and the stamps, and sent *after*
+            // it (write-ahead). Single-shard transactions need no 2PC:
+            // once the commit record is stable the transaction IS
+            // committed, and the stamps publish it — to snapshot
+            // readers and (Section 6.2.2's "eliminate the before
+            // versions") to read-committed readers at other TCs.
+            // Delivery is synchronous and under the transaction's X
+            // locks, so once `commit` returns every snapshot at or
+            // above the stable LSN observes this transaction. Known
+            // gap: snapshot readers take no locks, so one pinned at the
+            // stable LSN between the force and the last stamp sees some
+            // of this transaction's keys stamped and others not
+            // (ROADMAP open item "Close the torn-snapshot window").
+            let stamps = self.log_stamps(txn, st, commit_lsn);
+            self.force_commit(self.log.last());
+            self.send_stamps(&stamps)?;
         }
-        let commit_lsn = self.log_bookkeeping(TcLogRecord::Commit { txn });
-        // MVCC: stamp records are logged *before* the force so one flush
-        // covers the commit record and the stamps, and sent *after* it
-        // (write-ahead). Delivery is synchronous and happens while the
-        // transaction still holds its X locks, so once `commit` returns,
-        // any snapshot at or above the stable LSN observes this
-        // transaction — and no snapshot can observe it partially.
-        let stamps = self.log_stamps(txn, st, commit_lsn);
-        self.force_commit(self.log.last());
-        self.send_stamps(&stamps)?;
-        // Eliminate before-versions (Section 6.2.2) — logged redo-only so
-        // recovery finishes the job if we crash mid-way. Single-shard
-        // transactions need no 2PC: once the commit record is stable the
-        // transaction IS committed.
-        self.finish_commit_local(txn, st)
+        self.finish_commit_local(txn, st);
+        Ok(())
     }
 
     /// Log one redo-only [`LogicalOp::StampCommit`] per key this
@@ -1439,36 +1430,14 @@ impl Tc {
     }
 
     /// Post-commit-point work shared by single-shard commit, cross-TC
-    /// coordinator commit and participant decision-apply: version
-    /// promotions, lock release, state removal.
-    pub(crate) fn finish_commit_local(
-        &self,
-        txn: TxnId,
-        st: &Arc<Mutex<TxnState>>,
-    ) -> Result<(), TcError> {
-        let promotes = std::mem::take(&mut st.lock().promotes);
-        let had_promotes = !promotes.is_empty();
-        for (dc, table, key) in promotes {
-            let op = LogicalOp::PromoteVersion { table, key };
-            let l = self.log_op_record(TcLogRecord::RedoOnly {
-                txn,
-                dc,
-                op: op.clone(),
-            });
-            let _ = self.send_op(dc, RequestId::Op(l), &op, false)?;
-        }
-        if had_promotes {
-            // Make the promotions durable; recovery also re-derives them
-            // from the committed VersionedWrite records, closing the
-            // remaining window.
-            self.force_commit(self.log.last());
-        }
+    /// coordinator commit and participant decision-apply: lock release
+    /// and state removal, once the stamps are delivered.
+    pub(crate) fn finish_commit_local(&self, txn: TxnId, st: &Arc<Mutex<TxnState>>) {
         self.locks.unlock_all(Self::token(txn));
         self.release_pin(st);
         self.txns.lock().remove(&txn);
         obs::close_span(st.lock().span, "tc.txn");
         TcStats::bump(&self.stats.commits);
-        Ok(())
     }
 
     /// Drop a transaction's pinned-snapshot registration (if any) so the
@@ -1510,11 +1479,7 @@ impl Tc {
         // branch before (or regardless of) the local undo — presumed
         // abort, so a participant that never hears this still resolves
         // correctly by asking.
-        let remotes: Vec<TcId> = {
-            let mut g = st.lock();
-            g.promotes.clear();
-            std::mem::take(&mut g.remotes).into_iter().collect()
-        };
+        let remotes: Vec<TcId> = std::mem::take(&mut st.lock().remotes).into_iter().collect();
         for r in remotes {
             if let Some(peer) = self.peer_tc(r) {
                 peer.decide_participant(self.id, txn, false);
@@ -1709,15 +1674,13 @@ impl Tc {
                 key: key.clone(),
                 flavor: ReadFlavor::Latest,
             };
-            match self.send_via(&link, replica, req, &op) {
-                Ok(Ok(OpResult::Value(v))) => return Ok(v),
-                Ok(Ok(other)) => panic!("read returned {other:?}"),
-                // Replica failed or refused: fall back to the primary.
-                Ok(Err(_)) | Err(_) => TcStats::bump(&self.stats.replica_read_fallbacks),
+            // Replica failed, refused or answered out of shape: fall
+            // back to the primary.
+            if let Ok(Ok(OpResult::Value(v))) = self.send_via(&link, replica, req, &op) {
+                return Ok(v);
             }
-        } else {
-            TcStats::bump(&self.stats.replica_read_fallbacks);
         }
+        TcStats::bump(&self.stats.replica_read_fallbacks);
         // The primary fallback is a *snapshot* read at the stable LSN:
         // it sees every commit the replica path could have seen, but —
         // unlike the instant S lock this path once took — it never

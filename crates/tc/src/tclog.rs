@@ -38,7 +38,7 @@ pub enum TcLogRecord {
     },
     /// Redo-only operation: inverse operations issued during rollback
     /// (the logical analogue of compensation log records) and
-    /// post-commit version promotions. Never undone.
+    /// post-commit version stamps. Never undone.
     RedoOnly {
         /// Owning transaction.
         txn: TxnId,
@@ -177,7 +177,6 @@ fn op_size(op: &LogicalOp) -> usize {
         | LogicalOp::Update { key, value, .. }
         | LogicalOp::VersionedWrite { key, value, .. } => 16 + key.len() + value.len(),
         LogicalOp::Delete { key, .. }
-        | LogicalOp::PromoteVersion { key, .. }
         | LogicalOp::RevertVersion { key, .. }
         | LogicalOp::Read { key, .. } => 16 + key.len(),
         LogicalOp::StampCommit { key, .. } => 32 + key.len(),

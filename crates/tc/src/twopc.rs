@@ -417,7 +417,8 @@ impl Tc {
                 return false;
             }
             self.participants.lock().remove(&(coord, gtxn));
-            self.finish_commit_local(local, &st).is_ok()
+            self.finish_commit_local(local, &st);
+            true
         } else {
             // rollback logs ParticipantAbort (part_of is set) and drops
             // the mapping.
@@ -553,7 +554,7 @@ impl Tc {
     }
 
     /// Phase two, step two: broadcast the decision, then finish locally
-    /// (version promotions, lock release).
+    /// (lock release).
     #[doc(hidden)]
     pub fn twopc_finish(&self, txn: TxnId) -> Result<(), TcError> {
         self.ensure_available()?;
@@ -569,7 +570,8 @@ impl Tc {
                 self.twopc_ack(txn, r);
             }
         }
-        self.finish_commit_local(txn, &st)
+        self.finish_commit_local(txn, &st);
+        Ok(())
     }
 
     /// The presumed-abort decision rule, answered from this
@@ -645,7 +647,6 @@ impl Tc {
     /// `resolve_indoubt`) arrives. The inverse ops name every key the
     /// branch wrote; re-locking them restores the isolation the branch
     /// held before the crash.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn park_indoubt_recovered(
         &self,
         local: TxnId,
@@ -653,7 +654,6 @@ impl Tc {
         gtxn: TxnId,
         first_lsn: Lsn,
         chain: &[(Lsn, DcId, LogicalOp)],
-        promotes: Vec<(DcId, TableId, Key)>,
     ) {
         let token = Self::token(local);
         for (_, _, inv) in chain {
@@ -666,17 +666,6 @@ impl Tc {
                     self.locks
                         .lock(token, LockName::Record(table, k.clone()), LockMode::X, None);
             }
-        }
-        for (_, table, key) in &promotes {
-            let _ = self
-                .locks
-                .lock(token, LockName::Table(*table), LockMode::IX, None);
-            let _ = self.locks.lock(
-                token,
-                LockName::Record(*table, key.clone()),
-                LockMode::X,
-                None,
-            );
         }
         // Re-derive the branch's last-write-per-key map so a commit
         // decision arriving after the crash still stamps the branch's
@@ -693,7 +682,6 @@ impl Tc {
         let shard_points: HashSet<u64> = chain
             .iter()
             .filter_map(|(_, _, inv)| inv.point_key())
-            .chain(promotes.iter().map(|(_, _, k)| k))
             .map(unbundled_core::route_point)
             .collect();
         let st = TxnState {
@@ -705,7 +693,6 @@ impl Tc {
                 .collect(),
             touched: chain.iter().map(|(_, dc, _)| *dc).collect(),
             cache: HashMap::new(),
-            promotes,
             writes,
             snapshot: None,
             remotes: HashSet::new(),

@@ -4,13 +4,15 @@
 
 use std::sync::Arc;
 use unbundled::core::{
-    DataComponentApi, DcId, DcToTc, Key, LogicalOp, Lsn, RequestId, TableId, TableSpec, TcId,
-    TcToDc,
+    DataComponentApi, DcId, DcToTc, Key, LogicalOp, Lsn, OpResult, RequestId, TableId, TableSpec,
+    TcError, TcId, TcToDc,
 };
 use unbundled::dc::{DcConfig, DcServer};
-use unbundled::kernel::{single, Deployment, FaultModel, TransportKind};
+use unbundled::kernel::{
+    single, DcSlot, Deployment, FaultModel, InlineLink, ReplySink, TransportKind,
+};
 use unbundled::storage::LogStore;
-use unbundled::tc::{AckTracker, ReadConsistency, TableRoute, TcConfig};
+use unbundled::tc::{AckTracker, ReadConsistency, TableRoute, Tc, TcConfig};
 
 const T: TableId = TableId(1);
 const T2: TableId = TableId(2);
@@ -678,4 +680,48 @@ fn read_committed_roundtrip_on_shared_deployment() {
         .unwrap()
         .expect("final version visible");
     assert_eq!(last, b"committed-49".to_vec());
+}
+
+/// A DC that acknowledges every request as if it were a mutation —
+/// what a misrouted or malformed reply looks like to a reader.
+struct DoneDc;
+
+impl DataComponentApi for DoneDc {
+    fn dc_id(&self) -> DcId {
+        DcId(1)
+    }
+
+    fn handle(&self, msg: TcToDc, out: &mut Vec<DcToTc>) {
+        if let TcToDc::Perform { tc, req, .. } = msg {
+            out.push(DcToTc::Reply {
+                dc: DcId(1),
+                tc,
+                req,
+                result: Ok(OpResult::Done),
+            });
+        }
+    }
+}
+
+#[test]
+fn reply_of_the_wrong_shape_fails_the_operation_instead_of_panicking() {
+    let tc = Tc::new(TcId(1), TcConfig::default(), Arc::new(LogStore::new()));
+    let link = InlineLink::new(DcSlot::new(Arc::new(DoneDc)), ReplySink::new(tc.clone()));
+    tc.register_dc(DcId(1), link);
+    tc.register_table(T, TableRoute::Single(DcId(1)));
+    let wrong_shape = |r| matches!(r, Err(TcError::UnexpectedReply { dc: DcId(1), .. }));
+    let t = tc.begin().unwrap();
+    assert!(wrong_shape(tc.read(
+        t,
+        T,
+        Key::from_u64(1),
+        ReadConsistency::Locking
+    )));
+    assert!(wrong_shape(tc.read_dirty(T, Key::from_u64(1))));
+    assert!(wrong_shape(
+        tc.scan(t, T, Key::empty(), None, None).map(|_| None)
+    ));
+    // The transaction is intact and the TC still serves it.
+    assert_eq!(tc.active_txns(), vec![t]);
+    tc.abort(t).unwrap();
 }

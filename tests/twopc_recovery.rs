@@ -22,9 +22,13 @@ use std::time::Duration;
 use unbundled::core::{DcId, Key, TableId, TableSpec, TcId, TcShardMap};
 use unbundled::dc::DcConfig;
 use unbundled::kernel::{Deployment, TransportKind};
-use unbundled::tc::{GatherWindow, GroupCommitCfg, ReadConsistency, TableRoute, TcConfig};
+use unbundled::tc::{
+    GatherWindow, GroupCommitCfg, ReadConsistency, SnapshotSpec, TableRoute, TcConfig,
+};
 
 const T: TableId = TableId(1);
+/// A versioned table (Section 6.2.2 sharing) hosted beside `T`.
+const V: TableId = TableId(2);
 
 /// A key owned by shard 1 under `TcShardMap::even(&[TcId(1), TcId(2)])`.
 fn low_key() -> Key {
@@ -54,7 +58,9 @@ fn sharded_deployment() -> Deployment {
         d.add_tc(tc, tc_cfg.clone());
         d.connect(tc, dc, TransportKind::Inline);
         d.create_table(dc, TableSpec::plain(T, "t"));
+        d.create_table(dc, TableSpec::versioned(V, "v"));
         d.route(tc, T, TableRoute::Single(dc));
+        d.route(tc, V, TableRoute::Single(dc));
     }
     d.set_shard_map(TcShardMap::even(&[TcId(1), TcId(2)]));
     d
@@ -199,6 +205,65 @@ fn participant_crash_between_prepare_and_decision_parks_then_resolves() {
         Some(b"local".as_ref())
     );
     assert_quiesced(&d, "after parked branch resolution");
+}
+
+#[test]
+fn parked_versioned_branch_is_committed_and_stamped_by_the_late_decision() {
+    let d = sharded_deployment();
+    let tc1 = d.tc(TcId(1));
+    // A committed version beneath the in-doubt write.
+    let seed = tc1.begin().expect("begin seed");
+    tc1.versioned_write(seed, V, high_key(), b"v0".to_vec())
+        .expect("seed write");
+    tc1.commit(seed).expect("seed commit");
+    let txn = tc1.begin().expect("begin");
+    tc1.versioned_write(txn, V, low_key(), b"local".to_vec())
+        .expect("local versioned write");
+    tc1.versioned_write(txn, V, high_key(), b"remote".to_vec())
+        .expect("forwarded versioned write");
+    assert_eq!(tc1.twopc_prepare(txn), Ok(true));
+    d.crash_tc(TcId(2));
+    d.reboot_tc(TcId(2));
+    let tc2 = d.tc(TcId(2));
+    assert_eq!(tc2.indoubt_branches(), 1, "branch must park in-doubt");
+    // Its undo chain (one `RevertVersion`) names the key: the X lock is
+    // back, and committed readers still see the version beneath.
+    let blocked = tc2.begin().expect("begin conflicting txn");
+    assert!(
+        tc2.versioned_write(blocked, V, high_key(), b"steal".to_vec())
+            .is_err(),
+        "in-doubt versioned write must still hold its X lock"
+    );
+    assert_eq!(
+        tc2.read_committed(V, high_key()).expect("read committed"),
+        Some(b"v0".to_vec())
+    );
+    tc1.twopc_log_decision(txn).expect("decision");
+    tc1.twopc_finish(txn).expect("broadcast + local finish");
+    assert_eq!(tc2.indoubt_branches(), 0, "decision resolves the park");
+    // The late decision stamped the branch's version: read-committed and
+    // snapshot readers both see it.
+    assert_eq!(
+        tc2.read_committed(V, high_key()).expect("read committed"),
+        Some(b"remote".to_vec())
+    );
+    assert_eq!(
+        tc1.read_committed(V, low_key()).expect("read committed"),
+        Some(b"local".to_vec())
+    );
+    let probe = tc2.begin().expect("begin snapshot probe");
+    assert_eq!(
+        tc2.read(
+            probe,
+            V,
+            high_key(),
+            ReadConsistency::Snapshot(SnapshotSpec::Fresh)
+        )
+        .expect("snapshot read"),
+        Some(b"remote".to_vec())
+    );
+    tc2.commit(probe).expect("commit snapshot probe");
+    assert_quiesced(&d, "after parked versioned branch resolution");
 }
 
 #[test]

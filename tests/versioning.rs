@@ -1,0 +1,278 @@
+//! Section 6.2.2 read-committed sharing served from the commit-LSN
+//! version chain: what a versioned commit costs, that a committed
+//! version is published however the TC fails between its commit force
+//! and its stamps, and what `Committed` readers see around a write by
+//! another TC.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+use unbundled::core::{
+    DataComponentApi, DcId, DcToTc, Key, LogicalOp, TableId, TableSpec, TcError, TcId, TcToDc,
+    TxnId,
+};
+use unbundled::dc::{DcConfig, DcServer};
+use unbundled::kernel::{DcSlot, Deployment, InlineLink, ReplySink, TransportKind};
+use unbundled::tc::{ReadConsistency, SnapshotSpec, TableRoute, Tc, TcConfig, TcLogRecord};
+
+const V: TableId = TableId(1);
+const P: TableId = TableId(2);
+const DC: DcId = DcId(1);
+const WRITER: TcId = TcId(1);
+const READER: TcId = TcId(2);
+
+/// One DC holding a versioned table `V` and a plain table `P`, shared by
+/// two TCs (the Figure 2 shape in miniature).
+fn shared() -> Deployment {
+    let cfg = TcConfig {
+        resend_interval: Duration::from_millis(1),
+        max_resends: 3,
+        ..TcConfig::default()
+    };
+    let mut d = Deployment::new();
+    d.add_dc(DC, DcConfig::default());
+    d.create_table(DC, TableSpec::versioned(V, "shared"));
+    d.create_table(DC, TableSpec::plain(P, "plain"));
+    for tc in [WRITER, READER] {
+        d.add_tc(tc, cfg.clone());
+        d.connect(tc, DC, TransportKind::Inline);
+        d.route(tc, V, TableRoute::Single(DC));
+        d.route(tc, P, TableRoute::Single(DC));
+    }
+    d
+}
+
+fn key() -> Key {
+    Key::from_u64(1)
+}
+
+fn commit_versioned(tc: &Tc, value: &[u8]) {
+    let t = tc.begin().unwrap();
+    tc.versioned_write(t, V, key(), value.to_vec()).unwrap();
+    tc.commit(t).unwrap();
+}
+
+/// The deployment's DC behind a filter that loses every `StampCommit`:
+/// the TC's commit record becomes stable, but no version it wrote is
+/// ever published.
+struct StampDropDc {
+    dc: Arc<DcServer>,
+    dropped: AtomicU64,
+}
+
+impl DataComponentApi for StampDropDc {
+    fn dc_id(&self) -> DcId {
+        DC
+    }
+
+    fn handle(&self, msg: TcToDc, out: &mut Vec<DcToTc>) {
+        let is_stamp = matches!(
+            &msg,
+            TcToDc::Perform {
+                op: LogicalOp::StampCommit { .. },
+                ..
+            }
+        );
+        if is_stamp {
+            self.dropped.fetch_add(1, Ordering::SeqCst);
+        } else {
+            self.dc.handle(msg, out);
+        }
+    }
+}
+
+#[test]
+fn one_key_versioned_commit_is_four_log_records_and_one_force() {
+    let d = shared();
+    let tc = d.tc(WRITER);
+    commit_versioned(&tc, b"v1");
+    let log = d.tc_log(WRITER);
+    let before = log.stats().snapshot();
+    let from = log.last_seq();
+    commit_versioned(&tc, b"v2");
+    let delta = log.stats().snapshot().delta(&before);
+    let shape: Vec<&str> = log
+        .read_range(from + 1, log.last_seq())
+        .iter()
+        .map(|(_, rec)| match rec {
+            TcLogRecord::Begin { .. } => "begin",
+            TcLogRecord::Op { op, .. } | TcLogRecord::RedoOnly { op, .. } => op.name(),
+            TcLogRecord::Commit { .. } => "commit",
+            _ => "other",
+        })
+        .collect();
+    assert_eq!(shape, ["begin", "vwrite", "commit", "stamp"]);
+    assert_eq!(delta.log_records, 4);
+    assert_eq!(delta.log_forces, 1, "one flush covers commit and stamp");
+    assert_eq!(
+        d.tc(READER).read_committed(V, key()).unwrap(),
+        Some(b"v2".to_vec())
+    );
+}
+
+#[test]
+fn tc_crash_between_commit_force_and_stamp_delivery_still_publishes() {
+    let d = shared();
+    let tc = d.tc(WRITER);
+    let reader = d.tc(READER);
+    commit_versioned(&tc, b"v1");
+    let lossy = Arc::new(StampDropDc {
+        dc: d.dc(DC),
+        dropped: AtomicU64::new(0),
+    });
+    tc.register_dc(
+        DC,
+        InlineLink::new(DcSlot::new(lossy.clone()), ReplySink::new(tc.clone())),
+    );
+    let t = tc.begin().unwrap();
+    tc.versioned_write(t, V, key(), b"v2".to_vec()).unwrap();
+    assert_eq!(
+        tc.commit(t),
+        Err(TcError::DcUnreachable(DC)),
+        "the stamp is never acknowledged"
+    );
+    assert!(lossy.dropped.load(Ordering::SeqCst) > 0);
+    let log = d.tc_log(WRITER);
+    assert!(
+        log.read_all_stable()
+            .iter()
+            .any(|(_, r)| *r == TcLogRecord::Commit { txn: t }),
+        "the commit record was forced: the transaction IS committed"
+    );
+    // Unpublished: committed readers still see the version beneath.
+    assert_eq!(
+        reader.read_committed(V, key()).unwrap(),
+        Some(b"v1".to_vec())
+    );
+    assert_eq!(reader.read_dirty(V, key()).unwrap(), Some(b"v2".to_vec()));
+    // The TC dies holding the transaction's locks and reboots over the
+    // deployment's ordinary link: redo repeats the logged stamp.
+    d.crash_tc(WRITER);
+    d.reboot_tc(WRITER);
+    assert_eq!(
+        reader.read_committed(V, key()).unwrap(),
+        Some(b"v2".to_vec()),
+        "recovery must finish publishing a committed version"
+    );
+    commit_versioned(&d.tc(WRITER), b"v3");
+    assert_eq!(
+        reader.read_committed(V, key()).unwrap(),
+        Some(b"v3".to_vec())
+    );
+}
+
+#[test]
+fn stamps_lost_with_the_log_tail_are_synthesized_from_the_commit_record() {
+    // A concurrent force can make a commit record stable before its
+    // stamps are appended; a crash then leaves a winner with no stamp
+    // in the log at all. Reproduce that log directly.
+    let d = shared();
+    commit_versioned(&d.tc(WRITER), b"v1");
+    let log = d.tc_log(WRITER);
+    let txn = TxnId(1_000);
+    let op = LogicalOp::VersionedWrite {
+        table: V,
+        key: key(),
+        value: b"v2".to_vec(),
+    };
+    for rec in [
+        TcLogRecord::Begin { txn },
+        TcLogRecord::Op {
+            txn,
+            dc: DC,
+            undo: op.inverse(None),
+            op,
+        },
+        TcLogRecord::Commit { txn },
+    ] {
+        let size = rec.encoded_size();
+        log.append(rec, size);
+    }
+    log.force();
+    d.crash_tc(WRITER);
+    d.reboot_tc(WRITER);
+    let reader = d.tc(READER);
+    assert_eq!(
+        reader.read_committed(V, key()).unwrap(),
+        Some(b"v2".to_vec()),
+        "redo applies the write, stamp synthesis publishes it"
+    );
+    let tc = d.tc(WRITER);
+    let t = tc.begin().unwrap();
+    assert_eq!(
+        tc.read(t, V, key(), ReadConsistency::Snapshot(SnapshotSpec::Fresh))
+            .unwrap(),
+        Some(b"v2".to_vec()),
+        "and snapshot readers see it at the winner's commit LSN"
+    );
+    tc.commit(t).unwrap();
+}
+
+#[test]
+fn committed_reads_on_a_plain_table_are_not_dirty() {
+    let d = shared();
+    let tc = d.tc(WRITER);
+    let reader = d.tc(READER);
+    let t = tc.begin().unwrap();
+    tc.insert(t, P, key(), b"a".to_vec()).unwrap();
+    assert_eq!(reader.read_committed(P, key()).unwrap(), None);
+    assert_eq!(reader.read_dirty(P, key()).unwrap(), Some(b"a".to_vec()));
+    tc.commit(t).unwrap();
+    assert_eq!(
+        reader.read_committed(P, key()).unwrap(),
+        Some(b"a".to_vec())
+    );
+    // An aborted update and an uncommitted delete stay invisible too.
+    let t = tc.begin().unwrap();
+    tc.update(t, P, key(), b"doomed".to_vec()).unwrap();
+    assert_eq!(
+        reader.read_committed(P, key()).unwrap(),
+        Some(b"a".to_vec())
+    );
+    tc.abort(t).unwrap();
+    assert_eq!(
+        reader.read_committed(P, key()).unwrap(),
+        Some(b"a".to_vec())
+    );
+    let t = tc.begin().unwrap();
+    tc.delete(t, P, key()).unwrap();
+    assert_eq!(
+        reader.read_committed(P, key()).unwrap(),
+        Some(b"a".to_vec())
+    );
+    tc.commit(t).unwrap();
+    assert_eq!(reader.read_committed(P, key()).unwrap(), None);
+}
+
+#[test]
+fn committed_readers_keep_the_old_owners_version_under_a_new_owners_write() {
+    let d = shared();
+    let first = d.tc(WRITER);
+    let second = d.tc(READER);
+    commit_versioned(&first, b"by-first");
+    // Another TC — a different log, a different LSN space — writes the
+    // same record; a third party reading committed must not lose it.
+    let t = second.begin().unwrap();
+    second
+        .versioned_write(t, V, key(), b"by-second".to_vec())
+        .unwrap();
+    assert_eq!(
+        first.read_committed(V, key()).unwrap(),
+        Some(b"by-first".to_vec())
+    );
+    second.abort(t).unwrap();
+    assert_eq!(
+        first.read_committed(V, key()).unwrap(),
+        Some(b"by-first".to_vec()),
+        "the revert lands on the old owner's committed payload"
+    );
+    let t = second.begin().unwrap();
+    second
+        .versioned_write(t, V, key(), b"by-second".to_vec())
+        .unwrap();
+    second.commit(t).unwrap();
+    assert_eq!(
+        first.read_committed(V, key()).unwrap(),
+        Some(b"by-second".to_vec())
+    );
+}
