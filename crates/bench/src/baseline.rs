@@ -43,7 +43,6 @@
 
 use crate::json::Json;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// One metric comparison.
 pub struct MetricOutcome {
@@ -236,7 +235,7 @@ pub fn check(
         }
     }
 
-    let refreshed = render_refreshed(&doc, &measured_by_pos)?;
+    let refreshed = render_refreshed(&doc, &measured_by_pos);
     Ok(CheckReport {
         outcomes,
         skipped,
@@ -246,65 +245,29 @@ pub fn check(
 
 /// Re-render the baseline document with measured values substituted —
 /// the copy-pasteable block CI prints when a regression is real.
-fn render_refreshed(
-    doc: &Json,
-    measured: &BTreeMap<(String, usize), f64>,
-) -> Result<String, String> {
-    let mode = req_str(doc, "mode", "baseline file")?;
-    let experiments = doc
-        .get("experiments")
-        .and_then(Json::as_arr)
-        .ok_or("baseline file: missing \"experiments\" array")?;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"experiments\": [");
-    for (ei, exp) in experiments.iter().enumerate() {
-        let file = req_str(exp, "file", "experiment entry")?;
-        let metrics = exp.get("metrics").and_then(Json::as_arr).unwrap_or(&[]);
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"file\": \"{file}\",");
-        let _ = writeln!(s, "      \"metrics\": [");
-        for (mi, m) in metrics.iter().enumerate() {
-            let ctx = format!("{file} metric #{mi}");
-            let metric = req_str(m, "metric", &ctx)?;
-            let old = req_f64(m, "baseline", &ctx)?;
-            let value = measured
-                .get(&(file.to_string(), mi))
-                .copied()
-                .unwrap_or(old);
-            let tolerance = req_f64(m, "tolerance_pct", &ctx)?;
-            let direction = req_str(m, "direction", &ctx)?;
-            let select = match m.get("select") {
-                Some(Json::Obj(o)) => o
-                    .iter()
-                    .map(|(k, v)| match v {
-                        Json::Str(st) => format!("\"{k}\": \"{st}\""),
-                        Json::Num(n) => format!("\"{k}\": {n}"),
-                        other => format!("\"{k}\": {other:?}"),
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                _ => String::new(),
-            };
-            let _ = writeln!(
-                s,
-                "        {{\"select\": {{{select}}}, \"metric\": \"{metric}\", \
-                 \"baseline\": {value:.3}, \"tolerance_pct\": {tolerance}, \
-                 \"direction\": \"{direction}\"}}{}",
-                if mi + 1 == metrics.len() { "" } else { "," }
-            );
+fn render_refreshed(doc: &Json, measured: &BTreeMap<(String, usize), f64>) -> String {
+    let mut doc = doc.clone();
+    if let Json::Obj(top) = &mut doc {
+        if let Some(Json::Arr(experiments)) = top.get_mut("experiments") {
+            for exp in experiments.iter_mut() {
+                let Json::Obj(exp) = exp else { continue };
+                let file = exp
+                    .get("file")
+                    .and_then(Json::as_str)
+                    .unwrap_or("")
+                    .to_string();
+                let Some(Json::Arr(metrics)) = exp.get_mut("metrics") else {
+                    continue;
+                };
+                for (mi, m) in metrics.iter_mut().enumerate() {
+                    if let (Json::Obj(m), Some(&v)) = (m, measured.get(&(file.clone(), mi))) {
+                        m.insert("baseline".into(), Json::Num(v));
+                    }
+                }
+            }
         }
-        let _ = writeln!(s, "      ]");
-        let _ = writeln!(
-            s,
-            "    }}{}",
-            if ei + 1 == experiments.len() { "" } else { "," }
-        );
     }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    Ok(s)
+    doc.render()
 }
 
 #[cfg(test)]
@@ -360,7 +323,7 @@ mod tests {
         assert_eq!(bad.verdict, Verdict::Regressed);
         assert!(bad.what.contains("tput"));
         // The refreshed block carries the measured value.
-        assert!(r.refreshed.contains("\"baseline\": 700.000"));
+        assert!(r.refreshed.contains("\"baseline\": 700,"));
         assert!(
             Json::parse(&r.refreshed).is_ok(),
             "refreshed block is valid JSON"

@@ -1,57 +1,77 @@
-//! Experiment report: prints the measured rows for every experiment
-//! E1–E12 (one section per figure/claim of the paper). This complements
-//! the Criterion benches with counter-based measurements — lock counts,
-//! message counts, log bytes, reset sizes — that wall-clock timing alone
-//! cannot show.
+//! The experiment runner: one table lists every experiment of the
+//! paper's evaluation, each a function returning a
+//! [`Report`](unbundled_bench::report::Report) that prints its rows and
+//! gates, optionally writes them as JSON telemetry, then asserts the
+//! gates (so a failing run still leaves its numbers behind).
 //!
 //! ```sh
-//! cargo run -p unbundled_bench --bin report --release
+//! cargo run --release -p unbundled_bench --bin report                # every experiment
+//! E11_SMOKE=1 cargo run --release -p unbundled_bench --bin report -- e11 --json BENCH_e11.json
 //! ```
 //!
-//! The commit-path (E11), replication (E12) and open-loop (E13)
-//! experiments can run alone and serialize their rows and regression
-//! gates as machine-readable telemetry — CI uploads these on every run
-//! so the perf trajectory is recorded, not discarded:
+//! An experiment's smoke variable (`E8_SMOKE`, `E11_SMOKE` … `E17_SMOKE`,
+//! `OBS_SMOKE`) shrinks its workload for CI; the gates are the same in
+//! both modes. `report check --against BASELINES [--dir DIR]` then
+//! compares the written `BENCH_*.json` files against checked-in
+//! baselines (per-metric tolerance bands; exits 1 on regression and
+//! prints a copy-pasteable refreshed baseline block):
 //!
 //! ```sh
-//! cargo run -p unbundled_bench --bin report --release -- e11 --json BENCH_e11.json
-//! cargo run -p unbundled_bench --bin report --release -- e12 --json BENCH_e12.json
-//! cargo run -p unbundled_bench --bin report --release -- e13 --json BENCH_e13.json
-//! ```
-//!
-//! `E11_SMOKE=1` / `E12_SMOKE=1` / `E13_SMOKE=1` shrink the workloads
-//! exactly like the bench gates.
-//!
-//! After the telemetry files are written, the bench-regression harness
-//! compares them against the checked-in baselines (per-metric
-//! tolerance bands; exits nonzero on regression and prints a
-//! copy-pasteable refreshed baseline block):
-//!
-//! ```sh
-//! cargo run -p unbundled_bench --bin report --release -- check --against ci/bench_baselines.json
+//! cargo run --release -p unbundled_bench --bin report -- check --against ci/bench_baselines.json
 //! ```
 
-use std::sync::Arc;
-use std::time::Instant;
-use unbundled_bench::*;
-use unbundled_core::{DcId, Key, ReadFlavor, TcId};
-use unbundled_dc::{DcConfig, ResetMode, SyncPolicy};
-use unbundled_kernel::harness::{ops_per_sec, run_concurrent};
-use unbundled_kernel::scenarios::MovieSite;
-use unbundled_kernel::{FaultModel, TransportKind};
-use unbundled_tc::{RangePartitioner, ScanProtocol, TcConfig};
+use unbundled_bench::report::{Report, Row};
+use unbundled_bench::{baseline, e11, e12, e13, e14, e15, e16, e17, e8, obs, paper};
 
-fn header(s: &str) {
-    println!("\n==================================================================");
-    println!("{s}");
-    println!("==================================================================");
+/// One runnable experiment.
+struct Experiment {
+    /// Section name on the command line.
+    name: &'static str,
+    /// Environment variable selecting smoke mode, if the experiment has one.
+    smoke_env: Option<&'static str>,
+    /// Its row columns (the telemetry keys the baseline check may select).
+    columns: &'static [&'static str],
+    /// The experiment.
+    run: fn(bool) -> Report,
 }
 
+const fn exp<R: Row>(
+    name: &'static str,
+    smoke_env: Option<&'static str>,
+    run: fn(bool) -> Report,
+) -> Experiment {
+    Experiment {
+        name,
+        smoke_env,
+        columns: R::COLUMNS,
+        run,
+    }
+}
+
+/// Every experiment, in the order a full run executes them.
+const EXPERIMENTS: &[Experiment] = &[
+    exp::<paper::MovieRow>("e2", None, paper::run_e2),
+    exp::<paper::ScanRow>("e3", None, paper::run_e3),
+    exp::<paper::AbLsnRow>("e4", None, paper::run_e4),
+    exp::<paper::SyncRow>("e5", None, paper::run_e5),
+    exp::<paper::SysTxnRow>("e6", None, paper::run_e6),
+    exp::<paper::RecoveryRow>("e7", None, paper::run_e7),
+    exp::<e8::E8Row>("e8", Some("E8_SMOKE"), e8::run_e8),
+    exp::<paper::LossRow>("e10", None, paper::run_e10),
+    exp::<e11::E11Row>("e11", Some("E11_SMOKE"), e11::run_e11),
+    exp::<e12::E12Row>("e12", Some("E12_SMOKE"), e12::run_e12),
+    exp::<e13::E13Row>("e13", Some("E13_SMOKE"), e13::run_e13),
+    exp::<e14::E14Row>("e14", Some("E14_SMOKE"), e14::run_e14),
+    exp::<e15::E15Row>("e15", Some("E15_SMOKE"), e15::run_e15),
+    exp::<e16::E16Row>("e16", Some("E16_SMOKE"), e16::run_e16),
+    exp::<e17::E17Row>("e17", Some("E17_SMOKE"), e17::run_e17),
+    exp::<obs::ObsRow>("obs", Some("OBS_SMOKE"), obs::run_obs),
+];
+
 fn main() {
-    // `report [e11|e12|e13] [--json PATH]` — an optional section
-    // filter and an optional path for that section's JSON telemetry —
-    // or `report check --against BASELINES [--dir DIR]` to run the
-    // bench-regression harness over previously written telemetry.
+    // `report [SECTION] [--json PATH]` runs one experiment (or all of
+    // them) and optionally writes its telemetry; `report check
+    // --against BASELINES [--dir DIR]` runs the regression check.
     let mut only: Option<String> = None;
     let mut json: Option<String> = None;
     let mut against: Option<String> = None;
@@ -66,102 +86,48 @@ fn main() {
         }
     }
     match only.as_deref() {
-        Some("e11") => e11(json.as_deref()),
-        Some("e12") => e12(json.as_deref()),
-        Some("e13") => e13(json.as_deref()),
-        Some("e14") => e14(json.as_deref()),
-        Some("e15") => e15(json.as_deref()),
-        Some("e16") => e16(json.as_deref()),
-        Some("e17") => e17(json.as_deref()),
-        Some("obs") => obs(json.as_deref()),
         Some("check") => {
             let baselines = against.expect("check needs --against <baselines.json>");
             check(&baselines, dir.as_deref().unwrap_or("."));
         }
-        Some(other) => {
-            panic!(
-                "unknown section {other:?} (only \"e11\" / \"e12\" / \"e13\" / \"e14\" / \"e15\" / \"e16\" / \"e17\" / \"obs\" / \"check\" can run alone)"
-            )
-        }
+        Some(name) => match EXPERIMENTS.iter().find(|e| e.name == name) {
+            Some(e) => run(e, json.as_deref()),
+            None => {
+                eprintln!("unknown section {name:?}; sections and their columns:");
+                for e in EXPERIMENTS {
+                    let smoke = e.smoke_env.map(|v| format!(" (smoke: {v}=1)"));
+                    eprintln!("  {}{}", e.name, smoke.unwrap_or_default());
+                    eprintln!("      {}", e.columns.join(", "));
+                }
+                eprintln!("  check --against BASELINES [--dir DIR]");
+                std::process::exit(2);
+            }
+        },
         None => {
-            // With no section filter, one --json path serves three
-            // experiments: derive a per-experiment file name so the
-            // later writes cannot silently overwrite the earlier ones.
-            let per_exp = |exp: &str| {
-                json.as_deref()
-                    .map(|path| match path.strip_suffix(".json") {
-                        Some(stem) => format!("{stem}.{exp}.json"),
-                        None => format!("{path}.{exp}.json"),
-                    })
-            };
-            e1();
-            e2();
-            e3();
-            e4();
-            e5();
-            e6();
-            e7();
-            e8();
-            e9();
-            e10();
-            e11(per_exp("e11").as_deref());
-            e12(per_exp("e12").as_deref());
-            e13(per_exp("e13").as_deref());
-            e14(per_exp("e14").as_deref());
-            e15(per_exp("e15").as_deref());
-            e16(per_exp("e16").as_deref());
-            e17(per_exp("e17").as_deref());
-            obs(per_exp("obs").as_deref());
+            // One --json path serves every experiment: derive a
+            // per-experiment file name so later writes cannot overwrite
+            // earlier ones.
+            for e in EXPERIMENTS {
+                let path = json.as_deref().map(|path| {
+                    let stem = path.strip_suffix(".json").unwrap_or(path);
+                    format!("{stem}.{}.json", e.name)
+                });
+                run(e, path.as_deref());
+            }
         }
     }
     println!("\nreport complete.");
 }
 
-/// E16 — MVCC on the TC/DC split: snapshot reads vs locking reads
-/// under a contending writer, pinned-snapshot isolation through the
-/// write storm, and version-chain GC across truncating checkpoints.
-/// Telemetry is written before the gates are asserted, like e11–e15.
-fn e16(json: Option<&str>) {
-    header("E16: MVCC reads — snapshot vs locking under contention, version-chain GC");
-    let smoke = std::env::var("E16_SMOKE").is_ok();
-    let report = unbundled_bench::e16::run_e16(smoke);
+/// Run one experiment: print, write telemetry, then assert the gates.
+fn run(e: &Experiment, json: Option<&str>) {
+    println!("\n== {} ==", e.name);
+    let smoke = e.smoke_env.is_some_and(|v| std::env::var(v).is_ok());
+    let report = (e.run)(smoke);
     report.print();
     if let Some(path) = json {
         std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e16 telemetry written to {path}");
-    }
-    report.assert_gates();
-}
-
-/// E17 — the shard autopilot: the telemetry-driven split/merge policy
-/// against a ramp that saturates a single shard, over a skewed key
-/// distribution a midpoint cut could not fix. Telemetry is written
-/// before the gates are asserted, like e11–e16.
-fn e17(json: Option<&str>) {
-    header("E17: shard autopilot — policy-driven split under a skewed ramp");
-    let smoke = std::env::var("E17_SMOKE").is_ok();
-    let report = unbundled_bench::e17::run_e17(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e17 telemetry written to {path}");
-    }
-    report.assert_gates();
-}
-
-/// OBS — the commit-path observability breakdown: per-stage latency
-/// histograms (lock wait, gather wait, force, DC apply, 2PC residual)
-/// out of `Deployment::observe()`, the 20% stage-decomposition gate,
-/// and one traced cross-TC commit rendered as a span tree. Telemetry
-/// is written before the gates are asserted, like e11–e16.
-fn obs(json: Option<&str>) {
-    header("OBS: commit-path breakdown — per-stage histograms and span tree");
-    let smoke = std::env::var("OBS_SMOKE").is_ok() || std::env::var("E11_SMOKE").is_ok();
-    let report = unbundled_bench::obs::run_obs(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("obs telemetry written to {path}");
+        println!("{} telemetry written to {path}", e.name);
     }
     report.assert_gates();
 }
@@ -169,25 +135,25 @@ fn obs(json: Option<&str>) {
 /// The bench-regression harness: compare freshly written telemetry
 /// against the checked-in baselines and fail (exit 1) on regression.
 fn check(baselines_path: &str, dir: &str) {
-    header("CHECK: bench telemetry vs checked-in baselines");
+    println!("== check: bench telemetry vs {baselines_path} ==");
     let baselines = std::fs::read_to_string(baselines_path)
         .unwrap_or_else(|e| panic!("reading {baselines_path}: {e}"));
-    let report = unbundled_bench::baseline::check(&baselines, |file| {
+    let report = baseline::check(&baselines, |file| {
         let path = std::path::Path::new(dir).join(file);
         std::fs::read_to_string(&path).map_err(|e| e.to_string())
     })
     .unwrap_or_else(|e| panic!("bench baseline check is misconfigured: {e}"));
     for o in &report.outcomes {
         let dir_mark = match o.direction {
-            unbundled_bench::baseline::Direction::Higher => "↑",
-            unbundled_bench::baseline::Direction::Lower => "↓",
+            baseline::Direction::Higher => "↑",
+            baseline::Direction::Lower => "↓",
         };
         println!(
             "{:<11} {:<14} {:<58} baseline {:>12.3} {} measured {:>12.3} (±{}%)",
             match o.verdict {
-                unbundled_bench::baseline::Verdict::Ok => "ok",
-                unbundled_bench::baseline::Verdict::Improved => "improved",
-                unbundled_bench::baseline::Verdict::Regressed => "REGRESSION",
+                baseline::Verdict::Ok => "ok",
+                baseline::Verdict::Improved => "improved",
+                baseline::Verdict::Regressed => "REGRESSION",
             },
             o.file
                 .trim_start_matches("BENCH_")
@@ -205,7 +171,7 @@ fn check(baselines_path: &str, dir: &str) {
     let improved = report
         .outcomes
         .iter()
-        .filter(|o| o.verdict == unbundled_bench::baseline::Verdict::Improved)
+        .filter(|o| o.verdict == baseline::Verdict::Improved)
         .count();
     if improved > 0 && report.regressions() == 0 {
         println!(
@@ -228,625 +194,47 @@ fn check(baselines_path: &str, dir: &str) {
     );
 }
 
-/// E1 — Figure 1: architecture composition / per-op layer cost.
-fn e1() {
-    header("E1 (Figure 1): unbundled architecture — per-transaction cost by deployment");
-    println!(
-        "{:<36} {:>14} {:>12}",
-        "deployment", "txns/s", "vs monolith"
-    );
-    let n = 3000u64;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use unbundled_bench::json::Json;
 
-    let m = monolith();
-    let t0 = Instant::now();
-    load_monolith(&m, 0, n, 32);
-    let mono = ops_per_sec(n, t0.elapsed());
-    println!("{:<36} {:>14.0} {:>11.2}x", "monolith (bundled)", mono, 1.0);
-
-    let d = unbundled_single(
-        TransportKind::Inline,
-        TcConfig::default(),
-        DcConfig::default(),
-    );
-    let tc = d.tc(TcId(1));
-    let t0 = Instant::now();
-    load_tc(&tc, 0, n, 32);
-    let inline = ops_per_sec(n, t0.elapsed());
-    println!(
-        "{:<36} {:>14.0} {:>11.2}x",
-        "unbundled, inline (multi-core)",
-        inline,
-        mono / inline
-    );
-
-    let kind = TransportKind::Queued {
-        faults: FaultModel::default(),
-        workers: 2,
-        batch: 1,
-    };
-    let d = unbundled_single(kind, TcConfig::default(), DcConfig::default());
-    let tc = d.tc(TcId(1));
-    let t0 = Instant::now();
-    load_tc(&tc, 0, n, 32);
-    let queued = ops_per_sec(n, t0.elapsed());
-    println!(
-        "{:<36} {:>14.0} {:>11.2}x",
-        "unbundled, queued (cloud)",
-        queued,
-        mono / queued
-    );
-    println!("paper claim: unbundling has longer code paths (§7) — factor above quantifies it.");
-}
-
-/// E2 — Figure 2: movie-site workloads.
-fn e2() {
-    header("E2 (Figure 2, §6.3): movie site W1–W4 — throughput, no 2PC anywhere");
-    let site = MovieSite::build(TransportKind::Inline, 500);
-    site.seed_movies(100).unwrap();
-    site.seed_users(40).unwrap();
-
-    let t0 = Instant::now();
-    let mut w2 = 0u64;
-    for u in 0..40u64 {
-        for m in 0..25u64 {
-            site.w2_add_review(u, (m * 7 + u) % 100, b"review body ***")
-                .unwrap();
-            w2 += 1;
-        }
-    }
-    println!(
-        "W2 add-review (2 DCs, 1 TC, 0 × 2PC): {:>10.0} txns/s",
-        ops_per_sec(w2, t0.elapsed())
-    );
-
-    let t0 = Instant::now();
-    let mut reviews = 0u64;
-    for m in 0..100u64 {
-        reviews += site
-            .w1_reviews_for_movie(m, ReadFlavor::Committed)
-            .unwrap()
-            .len() as u64;
-    }
-    println!(
-        "W1 reviews-per-movie (read committed):  {:>10.0} queries/s ({reviews} rows)",
-        ops_per_sec(100, t0.elapsed())
-    );
-
-    let t0 = Instant::now();
-    for u in 0..40u64 {
-        site.w3_update_profile(u, b"bio v2").unwrap();
-    }
-    println!(
-        "W3 profile update (1 DC):               {:>10.0} txns/s",
-        ops_per_sec(40, t0.elapsed())
-    );
-
-    let t0 = Instant::now();
-    let mut mine = 0u64;
-    for u in 0..40u64 {
-        mine += site.w4_reviews_by_user(u).unwrap().len() as u64;
-    }
-    println!(
-        "W4 reviews-by-user (1 DC, clustered):   {:>10.0} queries/s ({mine} rows)",
-        ops_per_sec(40, t0.elapsed())
-    );
-    println!(
-        "paper claim: each query touches ≤ 2 machines; readers never block (verified in tests)."
-    );
-}
-
-/// E3 — §3.1: the two range-locking protocols.
-fn e3() {
-    header("E3 (§3.1): range locking — fetch-ahead vs static range locks");
-    println!(
-        "{:<28} {:>10} {:>12} {:>12} {:>12}",
-        "protocol", "scan len", "scans/s", "locks/scan", "msgs/scan"
-    );
-    for (name, protocol) in [
-        (
-            "fetch-ahead (batch 32)",
-            ScanProtocol::FetchAhead { batch: 32 },
-        ),
-        (
-            "static ranges (16)",
-            ScanProtocol::StaticRanges(Arc::new(RangePartitioner::even_u64(16))),
-        ),
-        (
-            "static ranges (256)",
-            ScanProtocol::StaticRanges(Arc::new(RangePartitioner::even_u64(256))),
-        ),
-    ] {
-        for scan_len in [10u64, 100] {
-            let cfg = TcConfig {
-                scan_protocol: protocol.clone(),
-                ..Default::default()
-            };
-            let d = unbundled_single(TransportKind::Inline, cfg, DcConfig::default());
-            let tc = d.tc(TcId(1));
-            load_tc(&tc, 0, 1000, 16);
-            let (locks0, ..) = tc.lock_manager().stats().snapshot();
-            let reads0 = tc.stats().snapshot().reads_sent;
-            let iters = 200u64;
-            let t0 = Instant::now();
-            for i in 0..iters {
-                let start = (i * 13) % 800;
-                let t = tc.begin().unwrap();
-                tc.scan(
-                    t,
-                    TABLE,
-                    Key::from_u64(start),
-                    Some(Key::from_u64(start + scan_len)),
-                    None,
-                )
-                .unwrap();
-                tc.commit(t).unwrap();
+    /// Every metric and `select` key the checked-in baselines read from
+    /// a `BENCH_<name>.json` must be a column of experiment `<name>`, so
+    /// a renamed column fails here instead of in the bench-gates job.
+    #[test]
+    fn baselines_select_existing_columns() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/bench_baselines.json");
+        let text = std::fs::read_to_string(path).expect("read ci/bench_baselines.json");
+        let doc = Json::parse(&text).expect("baselines parse");
+        let files = doc
+            .get("experiments")
+            .and_then(Json::as_arr)
+            .expect("experiments");
+        assert!(!files.is_empty());
+        for f in files {
+            let file = f.get("file").and_then(Json::as_str).expect("file");
+            let name = file
+                .strip_prefix("BENCH_")
+                .and_then(|n| n.strip_suffix(".json"))
+                .unwrap_or_else(|| panic!("{file}: not a BENCH_<name>.json"));
+            let e = EXPERIMENTS
+                .iter()
+                .find(|e| e.name == name)
+                .unwrap_or_else(|| panic!("{file}: no experiment {name:?}"));
+            for m in f.get("metrics").and_then(Json::as_arr).expect("metrics") {
+                let metric = m.get("metric").and_then(Json::as_str).expect("metric");
+                let Some(Json::Obj(select)) = m.get("select") else {
+                    panic!("{file}: metric {metric} has no select object");
+                };
+                for key in select.keys().map(String::as_str).chain([metric]) {
+                    assert!(
+                        e.columns.contains(&key),
+                        "{file}: {key:?} is not a column of {name} ({:?})",
+                        e.columns
+                    );
+                }
             }
-            let el = t0.elapsed();
-            let (locks1, ..) = tc.lock_manager().stats().snapshot();
-            let reads1 = tc.stats().snapshot().reads_sent;
-            println!(
-                "{:<28} {:>10} {:>12.0} {:>12.1} {:>12.1}",
-                name,
-                scan_len,
-                ops_per_sec(iters, el),
-                (locks1 - locks0) as f64 / iters as f64,
-                (reads1 - reads0) as f64 / iters as f64,
-            );
         }
     }
-    println!("paper claim: range locks need fewer locks but give up concurrency;");
-    println!("fetch-ahead pays speculative probe messages per scan. Shapes above.");
-}
-
-/// E4 — §5.1: out-of-order execution and the abLSN.
-fn e4() {
-    header("E4 (§5.1): out-of-order execution — abLSN keeps replay exactly-once");
-    let kind = TransportKind::Queued {
-        faults: FaultModel {
-            reorder: 0.4,
-            loss: 0.1,
-            ..Default::default()
-        },
-        workers: 4,
-        batch: 1,
-    };
-    let cfg = TcConfig {
-        resend_interval: std::time::Duration::from_millis(3),
-        ..Default::default()
-    };
-    let d = Arc::new(unbundled_single(kind, cfg, DcConfig::default()));
-    let n = 1000u64;
-    // Four concurrent clients interleave on the same pages: their
-    // non-conflicting operations genuinely arrive out of LSN order.
-    let d2 = d.clone();
-    run_concurrent(4, move |i| {
-        let tc = d2.tc(TcId(1));
-        for j in 0..(n / 4) {
-            let k = j * 4 + i as u64; // interleaved keys, same pages
-            let t = tc.begin().unwrap();
-            tc.insert(t, TABLE, Key::from_u64(k), vec![1; 16]).unwrap();
-            tc.commit(t).unwrap();
-        }
-    });
-    let tc = d.tc(TcId(1));
-    let snap = d.dc(DcId(1)).engine().stats().snapshot();
-    let tc_snap = tc.stats().snapshot();
-    println!("operations committed:        {n}");
-    println!("out-of-order page arrivals:  {}", snap.out_of_order);
-    println!("resends by TC:               {}", tc_snap.resends);
-    println!(
-        "duplicates suppressed by DC: {}",
-        snap.duplicates_suppressed
-    );
-    println!(
-        "ops applied at DC:           {} (== committed: exactly-once)",
-        snap.ops_applied
-    );
-    let rows = d.dc(DcId(1)).engine().dump_table(TABLE).unwrap().len();
-    println!("rows at DC:                  {rows}");
-    // Space comparison (paper: record-level LSNs "very expensive in space").
-    let server = d.dc(DcId(1));
-    let engine = server.engine();
-    let pages = engine.pool().cached_ids().len().max(1);
-    let per_record_lsn_bytes = rows * 8;
-    println!(
-        "space: record-level LSNs would cost {per_record_lsn_bytes} B; abLSN state across {pages} pages costs a low-water LSN + transient in-sets (pruned by LWM)."
-    );
-}
-
-/// E5 — §5.1.2: the three page-sync algorithms.
-fn e5() {
-    header("E5 (§5.1.2): page sync — flush outcome per algorithm");
-    println!(
-        "{:<16} {:>14} {:>12} {:>14} {:>18}",
-        "policy", "flushed w/o LWM", "flush-waits", "abLSN bytes", "after LWM arrives"
-    );
-    for (name, policy) in [
-        ("wait-for-lwm", SyncPolicy::WaitForLwm),
-        ("full-ablsn", SyncPolicy::FullAbLsn),
-        ("bounded(8)", SyncPolicy::Bounded(8)),
-    ] {
-        // Drive the DC engine directly: EOSL covers every operation but
-        // no low-water mark ever arrives, so in-sets stay populated —
-        // exactly the state the three algorithms handle differently.
-        use unbundled_core::{LogicalOp, Lsn, RequestId, TableId, TableSpec};
-        let engine = unbundled_dc::DcEngine::format(
-            DcId(1),
-            DcConfig {
-                sync_policy: policy,
-                ..Default::default()
-            },
-            unbundled_storage::SimDisk::new(),
-            Arc::new(unbundled_storage::LogStore::new()),
-        );
-        let t1 = TableId(1);
-        engine.create_table(TableSpec::plain(t1, "t")).unwrap();
-        for k in 0..200u64 {
-            engine
-                .perform(
-                    TcId(1),
-                    RequestId::Op(Lsn(k + 1)),
-                    &LogicalOp::Insert {
-                        table: t1,
-                        key: Key::from_u64(k),
-                        value: vec![1; 16],
-                    },
-                )
-                .unwrap();
-        }
-        engine.handle_eosl(TcId(1), Lsn(200));
-        let flushed_without = engine.flush_all();
-        let waits = engine.stats().snapshot().flush_waits;
-        engine.handle_lwm(TcId(1), Lsn(200));
-        let flushed_after = engine.flush_all();
-        let snap = engine.stats().snapshot();
-        println!(
-            "{:<16} {:>14} {:>12} {:>14} {:>18}",
-            name,
-            flushed_without,
-            waits,
-            snap.ablsn_bytes_flushed,
-            format!("{flushed_after} flushed"),
-        );
-    }
-    println!("paper claim: alg. 1 delays the flush (waits for LWM); alg. 2 never waits but");
-    println!("writes the full abLSN into the page; alg. 3 bounds the written set.");
-}
-
-/// E6 — §5.2: system transactions and their log cost.
-fn e6() {
-    header("E6 (§5.2): system transactions — splits/consolidations and log space");
-    let dc_cfg = DcConfig {
-        page_capacity: 512,
-        merge_threshold: 128,
-        ..Default::default()
-    };
-    let d = unbundled_single(TransportKind::Inline, TcConfig::default(), dc_cfg);
-    let tc = d.tc(TcId(1));
-    load_tc(&tc, 0, 800, 24);
-    let split_bytes = d.dc_log(DcId(1)).live_bytes();
-    let snap1 = d.dc(DcId(1)).engine().stats().snapshot();
-    // Mass deletion triggers consolidations with physical page images.
-    for k in 0..780u64 {
-        let t = tc.begin().unwrap();
-        tc.delete(t, TABLE, Key::from_u64(k)).unwrap();
-        tc.commit(t).unwrap();
-    }
-    let snap2 = d.dc(DcId(1)).engine().stats().snapshot();
-    let total_bytes = d.dc_log(DcId(1)).live_bytes();
-    println!("splits:                      {}", snap2.splits);
-    println!("consolidations:              {}", snap2.consolidations);
-    println!("DC-log bytes after loads:    {split_bytes}");
-    println!("DC-log bytes after deletes:  {total_bytes}");
-    if snap2.consolidations > 0 {
-        println!(
-            "≈ bytes per consolidation:   {} (physical page image, paper: 'more costly in log space… but page deletes are rare')",
-            (total_bytes.saturating_sub(split_bytes)) / snap2.consolidations.max(1)
-        );
-    }
-    let _ = snap1;
-    // Recovery ordering: structures first, then TC redo (exercised in tests).
-    d.dc_log(DcId(1)).force();
-    d.crash_dc(DcId(1));
-    let t0 = Instant::now();
-    d.reboot_dc(DcId(1));
-    println!(
-        "DC restart (systxn replay before TC redo): {:?}",
-        t0.elapsed()
-    );
-    d.dc(DcId(1)).engine().check_tree(TABLE);
-    println!("tree well-formed after recovery: yes");
-}
-
-/// E7 — §5.3: partial failures.
-fn e7() {
-    header("E7 (§5.3): partial failures — recovery work vs checkpoint distance");
-    println!(
-        "{:<30} {:>14} {:>14}",
-        "scenario", "redo resends", "recovery time"
-    );
-    for ops in [100u64, 500, 2000] {
-        let d = unbundled_single(
-            TransportKind::Inline,
-            TcConfig::default(),
-            DcConfig::default(),
-        );
-        let tc = d.tc(TcId(1));
-        load_tc(&tc, 0, 50, 16);
-        tc.checkpoint().unwrap();
-        load_tc(&tc, 1000, ops, 16);
-        d.crash_dc(DcId(1));
-        let before = tc.stats().snapshot().redo_resends;
-        let t0 = Instant::now();
-        d.reboot_dc(DcId(1));
-        let el = t0.elapsed();
-        let after = tc.stats().snapshot().redo_resends;
-        println!(
-            "{:<30} {:>14} {:>14?}",
-            format!("DC crash, {ops} ops past ckpt"),
-            after - before,
-            el
-        );
-    }
-    println!();
-    println!(
-        "{:<30} {:>12} {:>14} {:>14}",
-        "TC crash reset mode", "pages reset", "records reset", "time"
-    );
-    for (name, mode) in [
-        ("full drop", ResetMode::FullDrop),
-        ("selective", ResetMode::Selective),
-    ] {
-        let dc_cfg = DcConfig {
-            reset_mode: mode,
-            ..Default::default()
-        };
-        let d = unbundled_single(TransportKind::Inline, TcConfig::default(), dc_cfg);
-        let tc = d.tc(TcId(1));
-        load_tc(&tc, 0, 500, 16);
-        // Lost tail:
-        let t = tc.begin().unwrap();
-        tc.insert(t, TABLE, Key::from_u64(999_999), vec![1; 16])
-            .unwrap();
-        d.crash_tc(TcId(1));
-        let t0 = Instant::now();
-        d.reboot_tc(TcId(1));
-        let el = t0.elapsed();
-        let snap = d.dc(DcId(1)).engine().stats().snapshot();
-        println!(
-            "{:<30} {:>12} {:>14} {:>14?}",
-            name, snap.pages_reset, snap.records_reset, el
-        );
-    }
-    println!(
-        "paper claim: only pages whose abLSN includes post-stable-log operations are dropped."
-    );
-}
-
-/// E8 — §6: multiple TCs per DC.
-fn e8() {
-    header("E8 (§6): multiple TCs on one DC — scaling over disjoint partitions");
-    println!("{:<10} {:>14} {:>12}", "TCs", "txns/s", "speedup");
-    let per_tc = 400u64;
-    let mut base = 0.0f64;
-    for n in [1u16, 2, 4, 8] {
-        let d = Arc::new(multi_tc_deployment(n, DcConfig::default()));
-        let d2 = d.clone();
-        let el = run_concurrent(n as usize, move |i| {
-            let tcid = TcId(i as u16 + 1);
-            let tc = d2.tc(tcid);
-            load_tc(&tc, tc_partition_base(tcid.0) + 1, per_tc, 16);
-        });
-        let tput = ops_per_sec(per_tc * n as u64, el);
-        if n == 1 {
-            base = tput;
-        }
-        println!("{:<10} {:>14.0} {:>11.2}x", n, tput, tput / base);
-    }
-    // Per-TC abLSN overhead on shared pages.
-    let d = multi_tc_deployment(4, DcConfig::default());
-    for i in 1..=4u16 {
-        let tc = d.tc(TcId(i));
-        // Interleave all four TCs on the same key region → shared pages.
-        for k in 0..50u64 {
-            let t = tc.begin().unwrap();
-            tc.insert(t, TABLE, Key::from_u64(k * 4 + i as u64), vec![1; 8])
-                .unwrap();
-            tc.commit(t).unwrap();
-        }
-    }
-    let server = d.dc(DcId(1));
-    let engine = server.engine();
-    let mut max_tcs_on_page = 0usize;
-    let mut ab_bytes = 0usize;
-    for pid in engine.pool().cached_ids() {
-        if let Some(arc) = engine.pool().get_cached(pid) {
-            let g = arc.read();
-            max_tcs_on_page = max_tcs_on_page.max(g.ab.len());
-            ab_bytes += g.ab.encoded_size();
-        }
-    }
-    println!("shared pages carry up to {max_tcs_on_page} per-TC abLSNs ({ab_bytes} B total across cache)");
-    println!("paper claim: only pages with data from multiple TCs pay extra abLSNs.");
-}
-
-/// E9 — §7: unbundling overhead and thread placement.
-fn e9() {
-    header("E9 (§7): unbundling cost — bundled vs unbundled, colocated vs separate threads");
-    let iters = 2000u64;
-    println!("{:<40} {:>12}", "configuration", "rmw txns/s");
-
-    let m = monolith();
-    load_monolith(&m, 0, 500, 16);
-    let t0 = Instant::now();
-    for i in 0..iters {
-        let k = (i * 2654435761) % 500;
-        let t = m.begin();
-        let v = m
-            .read(t, TABLE, Key::from_u64(k))
-            .unwrap()
-            .unwrap_or_default();
-        m.update(t, TABLE, Key::from_u64(k), v).unwrap();
-        m.commit(t).unwrap();
-    }
-    println!(
-        "{:<40} {:>12.0}",
-        "monolith (bundled)",
-        ops_per_sec(iters, t0.elapsed())
-    );
-
-    let d = unbundled_single(
-        TransportKind::Inline,
-        TcConfig::default(),
-        DcConfig::default(),
-    );
-    let tc = d.tc(TcId(1));
-    load_tc(&tc, 0, 500, 16);
-    let t0 = Instant::now();
-    rmw_tc(&tc, iters, 500);
-    println!(
-        "{:<40} {:>12.0}",
-        "unbundled TC+DC colocated (inline)",
-        ops_per_sec(iters, t0.elapsed())
-    );
-
-    let kind = TransportKind::Queued {
-        faults: FaultModel::default(),
-        workers: 2,
-        batch: 1,
-    };
-    let d = unbundled_single(kind, TcConfig::default(), DcConfig::default());
-    let tc = d.tc(TcId(1));
-    load_tc(&tc, 0, 500, 16);
-    let t0 = Instant::now();
-    rmw_tc(&tc, iters, 500);
-    println!(
-        "{:<40} {:>12.0}",
-        "unbundled TC/DC separate threads",
-        ops_per_sec(iters, t0.elapsed())
-    );
-    println!("paper hypothesis: longer code paths, offset by deployment flexibility and");
-    println!("per-component parallelism (see E8 scaling).");
-}
-
-/// E10 — §4.2: contracts under message loss.
-fn e10() {
-    header("E10 (§4.2): resend + idempotence under message loss");
-    println!(
-        "{:<10} {:>12} {:>10} {:>12} {:>14}",
-        "loss", "txns/s", "resends", "duplicates", "rows (of 300)"
-    );
-    for loss in [0.0f64, 0.05, 0.1, 0.2, 0.3] {
-        let kind = TransportKind::Queued {
-            faults: FaultModel {
-                loss,
-                ..Default::default()
-            },
-            workers: 4,
-            batch: 1,
-        };
-        let cfg = TcConfig {
-            resend_interval: std::time::Duration::from_millis(2),
-            ..Default::default()
-        };
-        let d = unbundled_single(kind, cfg, DcConfig::default());
-        let tc = d.tc(TcId(1));
-        let n = 300u64;
-        let t0 = Instant::now();
-        load_tc(&tc, 0, n, 16);
-        let el = t0.elapsed();
-        let tc_snap = tc.stats().snapshot();
-        let dc_snap = d.dc(DcId(1)).engine().stats().snapshot();
-        let rows = d.dc(DcId(1)).engine().dump_table(TABLE).unwrap().len();
-        println!(
-            "{:<10} {:>12.0} {:>10} {:>12} {:>14}",
-            format!("{:.0}%", loss * 100.0),
-            ops_per_sec(n, el),
-            tc_snap.resends,
-            dc_snap.duplicates_suppressed,
-            rows,
-        );
-    }
-    println!("paper claim: TC resend + DC idempotence ⇒ exactly-once regardless of loss.");
-}
-
-/// E11 — the commit path: group commit (fixed vs adaptive gather
-/// window) and batching on both wire directions. Shares its harness
-/// with `benches/e11_group_commit.rs`; optionally serializes the rows
-/// and gates as JSON bench telemetry. The regression gates are
-/// enforced here too (telemetry is written first, so a failing run
-/// still leaves its numbers behind for the CI artifact).
-fn e11(json: Option<&str>) {
-    header("E11: commit path — group commit, adaptive gather window, reply batching");
-    let smoke = std::env::var("E11_SMOKE").is_ok();
-    let report = unbundled_bench::e11::run_e11(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e11 telemetry written to {path}");
-    }
-    report.assert_gates();
-}
-
-fn e12(json: Option<&str>) {
-    header("E12: replication — read-only replicas, bounded staleness, failover promotion");
-    let smoke = std::env::var("E12_SMOKE").is_ok();
-    let report = unbundled_bench::e12::run_e12(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e12 telemetry written to {path}");
-    }
-    report.assert_gates();
-}
-
-/// E13 — the open-loop arrival-driven commit workload: seeded arrival
-/// processes into a bounded admission queue, latency measured from the
-/// scheduled arrival time, and the latency-aware adaptive gather
-/// window against fixed settings. Telemetry is written before the
-/// gates are asserted, like e11/e12.
-fn e13(json: Option<&str>) {
-    header("E13: open-loop arrivals — bounded admission, latency SLOs, adaptive gather window");
-    let smoke = std::env::var("E13_SMOKE").is_ok();
-    let report = unbundled_bench::e13::run_e13(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e13 telemetry written to {path}");
-    }
-    report.assert_gates();
-}
-
-/// E14 — the key-range sharded TC tier: scale-out over per-shard redo
-/// logs, the shard-map tax on the single-shard fast path, cross-TC
-/// transactions through 2PC, and shared-device group commit via the
-/// force arbiter. Telemetry is written before the gates are asserted,
-/// like e11/e12/e13.
-fn e14(json: Option<&str>) {
-    header("E14: sharded TC — scale-out, cross-TC 2PC, shared-device group commit");
-    let smoke = std::env::var("E14_SMOKE").is_ok();
-    let report = unbundled_bench::e14::run_e14(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e14 telemetry written to {path}");
-    }
-    report.assert_gates();
-}
-
-/// E15 — online TC rebalance: two elastic range moves (out and back)
-/// under a sub-capacity open-loop arrival stream, gated on zero lost
-/// acknowledged writes, both moves completing and settling the map,
-/// and bounded disturbance (throughput dip and worst arrival wait).
-/// Telemetry is written before the gates are asserted, like e11–e14.
-fn e15(json: Option<&str>) {
-    header("E15: online rebalance — elastic range moves under open-loop load");
-    let smoke = std::env::var("E15_SMOKE").is_ok();
-    let report = unbundled_bench::e15::run_e15(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e15 telemetry written to {path}");
-    }
-    report.assert_gates();
 }

@@ -1,9 +1,7 @@
 //! E13 harness: open-loop arrival-driven commit workload with latency
 //! SLOs.
 //!
-//! Shared by `benches/e13_open_loop.rs` (the CI regression gate) and
-//! `src/bin/report.rs` (which serializes the same rows as
-//! `BENCH_e13.json` telemetry).
+//! `report e13`, telemetry `BENCH_e13.json`.
 //!
 //! E11 measured the commit path *closed-loop*: a fixed set of committer
 //! threads, each issuing its next commit the moment the previous one
@@ -31,7 +29,9 @@
 //! loop the higher delivered rate directly shortens the admission
 //! queue, which is where the p99 lives.
 
-use crate::workload::{run_open_loop, ArrivalProcess, LatencyHistogram, OpenLoopCfg};
+use crate::json::Json;
+use crate::report::{best_of, find, Gate, Report};
+use crate::workload::{run_open_loop, ArrivalProcess, OpenLoopCfg};
 use crate::{unbundled_single, TABLE};
 use std::time::Duration;
 use unbundled_core::{Key, TcId};
@@ -67,84 +67,63 @@ pub const QUEUE_CAP: usize = 512;
 /// pathologies) beyond that.
 pub const P99_BUDGET: Duration = Duration::from_millis(4);
 
-/// One measured configuration.
-pub struct E13Row {
-    /// Arrival pattern label.
-    pub pattern: String,
-    /// Gather-window configuration label.
-    pub window: String,
-    /// Arrivals in the schedule.
-    pub offered: u64,
-    /// Arrivals admitted and committed.
-    pub delivered: u64,
-    /// Arrivals shed at the bounded admission queue.
-    pub shed: u64,
-    /// Delivered commits per second of makespan.
-    pub delivered_per_sec: f64,
-    /// p50 of scheduled-arrival → commit-done latency (µs).
-    pub total_p50_us: f64,
-    /// p95 (µs).
-    pub total_p95_us: f64,
-    /// p99 (µs).
-    pub total_p99_us: f64,
-    /// Max (µs).
-    pub total_max_us: f64,
-    /// p99 of queueing latency alone (µs).
-    pub queue_p99_us: f64,
-    /// p99 of service latency alone (µs).
-    pub service_p99_us: f64,
-    /// Gather window the adaptive controller settled on (µs; zero for
-    /// fixed windows).
-    pub chosen_window_us: f64,
-    /// Candidate windows the controller probed over the whole cell
-    /// (warmup included — warmup shares the deployment and pattern,
-    /// and adoption is *supposed* to happen there).
-    pub window_probes: u64,
-    /// Probes adopted as grows over the whole cell — ≥ 1 means the
-    /// controller adopted a deliberate nonzero gather window for this
-    /// pattern. (A warmup-only adoption that decayed before
-    /// measurement cannot produce a false overall pass: the measured
-    /// run would then deliver window=0 throughput and fail the
-    /// delivered-ratio gate.)
-    pub window_grows: u64,
-    /// Probes rejected (or adopted windows walked back) on the p99
-    /// budget, over the whole cell.
-    pub budget_rejects: u64,
-    /// Controller-measured p99 of commit gather+flush latency over the
-    /// last completed epoch (µs).
-    pub gather_p99_us: f64,
-    /// Largest epoch p99 over the whole cell (µs) — a mid-run budget
-    /// violation stays visible here even when the end-of-run drain is
-    /// quiet. Watched by the baseline harness with a wide band rather
-    /// than a hard gate (a single scheduling-stall epoch on a noisy
-    /// runner must not fail CI).
-    pub gather_p99_max_us: f64,
-    /// Log flushes per delivered commit.
-    pub forces_per_commit: f64,
-}
-
-/// One pass/fail regression gate.
-pub struct E13Gate {
-    /// What the gate checks.
-    pub name: String,
-    /// Measured value.
-    pub value: f64,
-    /// Minimum acceptable value.
-    pub threshold: f64,
-    /// Whether the gate held.
-    pub pass: bool,
-}
-
-/// The full experiment output.
-pub struct E13Report {
-    /// `smoke` (CI) or `full`.
-    pub mode: String,
-    /// Measured arrival horizon per configuration.
-    pub horizon_ms: u64,
-    /// All measured rows.
-    pub rows: Vec<E13Row>,
-    /// Regression gates over the rows.
-    pub gates: Vec<E13Gate>,
+crate::row! {
+    /// One measured configuration.
+    pub struct E13Row {
+        /// Arrival pattern label.
+        pub pattern: String,
+        /// Gather-window configuration label.
+        pub window: String,
+        /// Arrivals in the schedule.
+        pub offered: u64,
+        /// Arrivals admitted and committed.
+        pub delivered: u64,
+        /// Arrivals shed at the bounded admission queue.
+        pub shed: u64,
+        /// Delivered commits per second of makespan.
+        pub delivered_per_sec: f64,
+        /// p50 of scheduled-arrival → commit-done latency (µs).
+        pub total_p50_us: f64,
+        /// p95 (µs).
+        pub total_p95_us: f64,
+        /// p99 (µs).
+        pub total_p99_us: f64,
+        /// Max (µs).
+        pub total_max_us: f64,
+        /// p99 of queueing latency alone (µs).
+        pub queue_p99_us: f64,
+        /// p99 of service latency alone (µs).
+        pub service_p99_us: f64,
+        /// Gather window the adaptive controller settled on (µs; zero for
+        /// fixed windows).
+        pub chosen_window_us: f64,
+        /// Candidate windows the controller probed over the whole cell
+        /// (warmup included — warmup shares the deployment and pattern,
+        /// and adoption is *supposed* to happen there).
+        pub window_probes: u64,
+        /// Probes adopted as grows over the whole cell — ≥ 1 means the
+        /// controller adopted a deliberate nonzero gather window for this
+        /// pattern. (A warmup-only adoption that decayed before
+        /// measurement cannot produce a false overall pass: the measured
+        /// run would then deliver window=0 throughput and fail the
+        /// delivered-ratio gate.)
+        pub window_grows: u64,
+        /// Probes rejected (or adopted windows walked back) on the p99
+        /// budget, over the whole cell.
+        pub budget_rejects: u64,
+        /// Controller-measured p99 of commit gather+flush latency over the
+        /// last completed epoch (µs).
+        pub gather_p99_us: f64,
+        /// Largest epoch p99 over the whole cell (µs) — a mid-run budget
+        /// violation stays visible here even when the end-of-run drain is
+        /// quiet. Watched by the baseline harness with a wide band rather
+        /// than a hard gate (a single scheduling-stall epoch on a noisy
+        /// runner must not fail CI).
+        pub gather_p99_max_us: f64,
+        /// Log flushes per delivered commit.
+        pub forces_per_commit: f64,
+    }
+    key = |r| format!("{}/{}", r.pattern, r.window);
 }
 
 /// A window configuration under test.
@@ -313,7 +292,7 @@ const SWEEP_US: [u64; 4] = [0, 150, 600, 900];
 
 /// Run the full experiment. `smoke` shrinks the horizons for CI; the
 /// gates are identical in both modes.
-pub fn run_e13(smoke: bool) -> E13Report {
+pub fn run_e13(smoke: bool) -> Report {
     let horizon = if smoke {
         Duration::from_millis(400)
     } else {
@@ -330,17 +309,18 @@ pub fn run_e13(smoke: bool) -> E13Report {
     // Wall-clock noise on a CI runner is one-sided (interference only
     // slows a run down), so gate-critical cells keep their best of two
     // repetitions — on *both* sides of each ratio gate, as in e11.
-    let best_of = |pattern: &str, process: ArrivalProcess, window: WindowCfg| {
-        (0..2)
-            .map(|rep| run_cell(pattern, process, window, seed + rep, horizon, warmup))
-            .max_by(|a, b| a.delivered_per_sec.total_cmp(&b.delivered_per_sec))
-            .expect("at least one rep")
+    let best = |pattern: &str, process: ArrivalProcess, window: WindowCfg| {
+        best_of(
+            2,
+            |r: &E13Row| r.delivered_per_sec,
+            |rep| run_cell(pattern, process, window, seed + rep, horizon, warmup),
+        )
     };
 
     // --- Gate (a): bursty arrivals, window=0 vs the latency-aware
     // adaptive controller.
     for window in [WindowCfg::Fixed(Duration::ZERO), WindowCfg::Adaptive] {
-        rows.push(best_of("bursty", bursty(), window));
+        rows.push(best("bursty", bursty(), window));
     }
 
     // --- Gate (b): overloaded Poisson, fixed sweep vs adaptive. The
@@ -348,17 +328,13 @@ pub fn run_e13(smoke: bool) -> E13Report {
     // gate's denominator, and a single interference-slowed run of the
     // true best window would one-sidedly weaken the bar.
     for us in SWEEP_US {
-        rows.push(best_of(
+        rows.push(best(
             "poisson-heavy",
             poisson_heavy(),
             WindowCfg::Fixed(Duration::from_micros(us)),
         ));
     }
-    rows.push(best_of(
-        "poisson-heavy",
-        poisson_heavy(),
-        WindowCfg::Adaptive,
-    ));
+    rows.push(best("poisson-heavy", poisson_heavy(), WindowCfg::Adaptive));
 
     // --- Informational rows: a sub-capacity Poisson (nothing should
     // shed and the p99 should stay near the device latency) and a ramp
@@ -384,70 +360,61 @@ pub fn run_e13(smoke: bool) -> E13Report {
     ));
 
     let gates = gates(&rows);
-    E13Report {
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        horizon_ms: horizon.as_millis() as u64,
-        rows,
-        gates,
-    }
+    let params = vec![
+        ("horizon_ms", Json::from(horizon.as_millis() as u64)),
+        (
+            "force_latency_us",
+            (FORCE_LATENCY.as_micros() as u64).into(),
+        ),
+        ("workers", WORKERS.into()),
+        ("queue_cap", QUEUE_CAP.into()),
+        ("p99_budget_us", (P99_BUDGET.as_micros() as u64).into()),
+    ];
+    Report::new("e13_open_loop", smoke, params, &rows, gates)
 }
 
-fn find<'a>(rows: &'a [E13Row], pattern: &str, window: &str) -> &'a E13Row {
-    rows.iter()
-        .find(|r| r.pattern == pattern && r.window == window)
-        .unwrap_or_else(|| panic!("missing row {pattern}/{window}"))
-}
-
-fn gates(rows: &[E13Row]) -> Vec<E13Gate> {
+fn gates(rows: &[E13Row]) -> Vec<Gate> {
     let mut gates = Vec::new();
-    let mut gate = |name: String, value: f64, threshold: f64| {
-        gates.push(E13Gate {
-            name,
-            value,
-            threshold,
-            pass: value >= threshold,
-        });
-    };
 
     // (a) Under bursty arrivals the adaptive controller must adopt a
     // nonzero window and beat window=0 by ≥ 1.2× delivered throughput
     // at equal-or-better p99.
-    let zero = find(rows, "bursty", "fixed=0us");
-    let adaptive = find(rows, "bursty", "adaptive");
-    gate(
-        "bursty: adaptive adopts a nonzero gather window (grow adoptions)".into(),
+    let zero = find(rows, "bursty/fixed=0us");
+    let adaptive = find(rows, "bursty/adaptive");
+    gates.push(Gate::at_least(
+        "bursty: adaptive adopts a nonzero gather window (grow adoptions)",
         adaptive.window_grows as f64,
         1.0,
-    );
-    gate(
-        "bursty: adaptive delivered throughput vs window=0".into(),
+    ));
+    gates.push(Gate::at_least(
+        "bursty: adaptive delivered throughput vs window=0",
         adaptive.delivered_per_sec / zero.delivered_per_sec,
         1.2,
-    );
+    ));
     // "Equal-or-better" with 5% slack: both sides of the ratio are
     // measured p99s, and a run where both configurations saturate (a
     // badly interfered CI runner) drives the ratio toward exactly 1.0
     // — a knife-edge threshold would then fail innocent pushes on a
     // coin flip. The healthy margin is ~1.5x; a real p99 regression
     // lands far below 0.95.
-    gate(
-        "bursty: adaptive p99 equal-or-better (window=0 p99 / adaptive p99)".into(),
+    gates.push(Gate::at_least(
+        "bursty: adaptive p99 equal-or-better (window=0 p99 / adaptive p99)",
         zero.total_p99_us / adaptive.total_p99_us.max(f64::EPSILON),
         0.95,
-    );
+    ));
 
     // (b) On the overloaded Poisson pattern the adaptive controller
     // must deliver within 10% of the best fixed window.
     let best_fixed = SWEEP_US
         .iter()
-        .map(|us| find(rows, "poisson-heavy", &format!("fixed={us}us")).delivered_per_sec)
+        .map(|us| find(rows, &format!("poisson-heavy/fixed={us}us")).delivered_per_sec)
         .fold(f64::MIN, f64::max);
-    let adaptive = find(rows, "poisson-heavy", "adaptive");
-    gate(
-        "poisson-heavy: adaptive delivered vs best fixed window".into(),
+    let adaptive = find(rows, "poisson-heavy/adaptive");
+    gates.push(Gate::at_least(
+        "poisson-heavy: adaptive delivered vs best fixed window",
         adaptive.delivered_per_sec / best_fixed,
         0.9,
-    );
+    ));
 
     // The latency-aware controller must keep its own measured p99 in
     // the budget's neighborhood. The row reports the *last completed
@@ -456,150 +423,12 @@ fn gates(rows: &[E13Row]) -> Vec<E13Gate> {
     // allows 2× slack and catches sustained violation (a controller
     // that ignored its budget under this overload would sit at an
     // order of magnitude above it, not at 2×).
-    gate(
-        "adaptive gather p99 within 2x budget (2*budget / measured)".into(),
+    gates.push(Gate::at_least(
+        "adaptive gather p99 within 2x budget (2*budget / measured)",
         2.0 * P99_BUDGET.as_secs_f64() * 1e6 / adaptive.gather_p99_us.max(f64::EPSILON),
         1.0,
-    );
+    ));
     gates
-}
-
-impl E13Report {
-    /// Print the rows and gates as the bench's human-readable table.
-    pub fn print(&self) {
-        println!(
-            "e13_open_loop ({} mode, force latency {:?}, {} workers, queue cap {}, horizon {} ms)",
-            self.mode, FORCE_LATENCY, WORKERS, QUEUE_CAP, self.horizon_ms
-        );
-        println!(
-            "{:<15} {:<12} {:>8} {:>9} {:>6} {:>11} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7}",
-            "pattern",
-            "window",
-            "offered",
-            "delivered",
-            "shed",
-            "delivered/s",
-            "p50_us",
-            "p95_us",
-            "p99_us",
-            "q99_us",
-            "s99_us",
-            "win_us",
-            "f/c"
-        );
-        for r in &self.rows {
-            println!(
-                "{:<15} {:<12} {:>8} {:>9} {:>6} {:>11.0} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>7.1} {:>7.3}",
-                r.pattern,
-                r.window,
-                r.offered,
-                r.delivered,
-                r.shed,
-                r.delivered_per_sec,
-                r.total_p50_us,
-                r.total_p95_us,
-                r.total_p99_us,
-                r.queue_p99_us,
-                r.service_p99_us,
-                r.chosen_window_us,
-                r.forces_per_commit
-            );
-        }
-        for g in &self.gates {
-            println!(
-                "gate: {:<62} {:>8.2} (>= {:.2}) — {}",
-                g.name,
-                g.value,
-                g.threshold,
-                if g.pass { "OK" } else { "FAIL" }
-            );
-        }
-    }
-
-    /// Panic if any regression gate failed (the CI bar).
-    pub fn assert_gates(&self) {
-        for g in &self.gates {
-            assert!(
-                g.pass,
-                "e13 gate failed: {} — measured {:.3}, need >= {:.3}",
-                g.name, g.value, g.threshold
-            );
-        }
-    }
-
-    /// Serialize the whole report as JSON (no external dependencies:
-    /// labels are plain ASCII and every value is numeric).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e13_open_loop\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"horizon_ms\": {},\n", self.horizon_ms));
-        s.push_str(&format!(
-            "  \"force_latency_us\": {},\n  \"workers\": {},\n  \"queue_cap\": {},\n  \"p99_budget_us\": {},\n",
-            FORCE_LATENCY.as_micros(),
-            WORKERS,
-            QUEUE_CAP,
-            P99_BUDGET.as_micros()
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"pattern\": \"{}\", \"window\": \"{}\", \"offered\": {}, \
-                 \"delivered\": {}, \"shed\": {}, \"delivered_per_sec\": {}, \
-                 \"total_p50_us\": {}, \"total_p95_us\": {}, \"total_p99_us\": {}, \
-                 \"total_max_us\": {}, \"queue_p99_us\": {}, \"service_p99_us\": {}, \
-                 \"chosen_window_us\": {}, \"window_probes\": {}, \"window_grows\": {}, \"budget_rejects\": {}, \
-                 \"gather_p99_us\": {}, \"gather_p99_max_us\": {}, \"forces_per_commit\": {}}}{}\n",
-                r.pattern,
-                r.window,
-                r.offered,
-                r.delivered,
-                r.shed,
-                num(r.delivered_per_sec),
-                num(r.total_p50_us),
-                num(r.total_p95_us),
-                num(r.total_p99_us),
-                num(r.total_max_us),
-                num(r.queue_p99_us),
-                num(r.service_p99_us),
-                num(r.chosen_window_us),
-                r.window_probes,
-                r.window_grows,
-                r.budget_rejects,
-                num(r.gather_p99_us),
-                num(r.gather_p99_max_us),
-                num(r.forces_per_commit),
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"threshold\": {}, \"pass\": {}}}{}\n",
-                g.name,
-                num(g.value),
-                num(g.threshold),
-                g.pass,
-                if i + 1 == self.gates.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-}
-
-/// A histogram-driven SLO check helper for future experiments: true if
-/// `hist`'s quantile `q` is within `slo`.
-pub fn meets_slo(hist: &LatencyHistogram, q: f64, slo: Duration) -> bool {
-    hist.quantile(q) <= slo
 }
 
 #[cfg(test)]

@@ -1,9 +1,6 @@
 //! E14 harness: key-range sharded TC tier scale-out.
 //!
-//! Shared by `benches/e14_sharded_tc.rs` (the CI regression gate) and
-//! `src/bin/report.rs` (which serializes the same rows as
-//! `BENCH_e14.json` telemetry), so the gate and the recorded trajectory
-//! can never drift apart.
+//! `report e14`, telemetry `BENCH_e14.json`.
 //!
 //! The experiment measures what partitioning the TC by key range buys
 //! (and costs) under a realistic log-device latency:
@@ -22,6 +19,8 @@
 //!   (requests gathered during a device flush share the next one) vs.
 //!   the serial baseline (every log force queues its own device flush).
 
+use crate::json::Json;
+use crate::report::{best_of, find, Gate, Report};
 use crate::TABLE;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,48 +36,26 @@ pub const FORCE_LATENCY: Duration = Duration::from_micros(150);
 /// Committer threads per TC shard.
 pub const THREADS_PER_SHARD: usize = 4;
 
-/// One measured configuration.
-pub struct E14Row {
-    /// Configuration label.
-    pub label: String,
-    /// TC shards in the deployment.
-    pub shards: u16,
-    /// Total committer threads.
-    pub threads: usize,
-    /// Committed transactions per second (counted by the workload
-    /// threads — TC counters would double-count participant branches).
-    pub commits_per_sec: f64,
-    /// Cross-shard transactions committed through 2PC.
-    pub cross_commits: u64,
-    /// Prepare votes forced at participants.
-    pub prepares: u64,
-    /// Shared-device flushes per committed transaction (zero when each
-    /// shard owns its device).
-    pub device_flushes_per_commit: f64,
-}
-
-/// One pass/fail regression gate.
-pub struct E14Gate {
-    /// What the gate checks.
-    pub name: String,
-    /// Measured value (a ratio).
-    pub value: f64,
-    /// Minimum acceptable value.
-    pub threshold: f64,
-    /// Whether the gate held.
-    pub pass: bool,
-}
-
-/// The full experiment output.
-pub struct E14Report {
-    /// `smoke` (CI) or `full`.
-    pub mode: String,
-    /// Commits per committer thread.
-    pub per_thread: u64,
-    /// All measured rows.
-    pub rows: Vec<E14Row>,
-    /// Regression gates over the rows.
-    pub gates: Vec<E14Gate>,
+crate::row! {
+    /// One measured configuration.
+    pub struct E14Row {
+        /// Configuration label.
+        pub label: String,
+        /// TC shards in the deployment.
+        pub shards: u16,
+        /// Total committer threads.
+        pub threads: usize,
+        /// Committed transactions per second (counted by the workload
+        /// threads — TC counters would double-count participant branches).
+        pub commits_per_sec: f64,
+        /// Cross-shard transactions committed through 2PC.
+        pub cross_commits: u64,
+        /// Prepare votes forced at participants.
+        pub prepares: u64,
+        /// Shared-device flushes per committed transaction (zero when each
+        /// shard owns its device).
+        pub device_flushes_per_commit: f64,
+    }
 }
 
 /// `n` TC shards, each owning one DC over an inline link, key space
@@ -119,6 +96,7 @@ fn shard_key(n: u16, i: u16, g: usize, s: u64) -> Key {
     Key::from_u64(step * i as u64 + 1 + 2 * g as u64 + s)
 }
 
+#[derive(Clone, Copy)]
 enum ArbiterMode {
     Serial,
     Coalescing,
@@ -233,251 +211,114 @@ fn run(cfg: &RunCfg) -> E14Row {
     }
 }
 
-/// Best of `reps` repetitions by commits/sec (CI wall-clock noise is
-/// one-sided; see e11's rationale).
-fn best_of(reps: usize, f: impl Fn() -> E14Row) -> E14Row {
-    (0..reps.max(1))
-        .map(|_| f())
-        .max_by(|a, b| a.commits_per_sec.total_cmp(&b.commits_per_sec))
-        .expect("at least one rep")
-}
-
 /// Run the full experiment. `smoke` shrinks the per-committer commit
 /// counts for CI; the gates are identical in both modes.
-pub fn run_e14(smoke: bool) -> E14Report {
+pub fn run_e14(smoke: bool) -> Report {
     let per_thread: u64 = if smoke { 80 } else { 400 };
     // Five reps: every row feeds a ratio gate, and on a small CI box a
     // single descheduled rep on either side of a ratio is enough to
     // flap a 1.7× gate that really sits at ~2×. Rows are sub-second,
     // so the extra reps are cheap insurance.
     const REPS: usize = 5;
-    let mut rows = Vec::new();
-
-    // --- Scale-out: single-shard transactions, one log device per
-    // shard. Every row feeds a ratio gate, so each keeps its best of
-    // three repetitions.
-    for shards in [1u16, 2, 4] {
-        rows.push(best_of(REPS, || {
-            run(&RunCfg {
-                label: format!("scale-out @{shards} shards"),
-                shards,
-                with_map: true,
-                cross_every: None,
-                arbiter: None,
-                per_thread,
-            })
-        }));
-    }
-
-    // --- Shard-map overhead on the single-shard fast path.
-    rows.push(best_of(REPS, || {
-        run(&RunCfg {
-            label: "one shard, no shard map".into(),
-            shards: 1,
-            with_map: false,
-            cross_every: None,
-            arbiter: None,
-            per_thread,
-        })
-    }));
-
-    // --- Cross-TC transactions: one in five spans two shards.
-    rows.push(best_of(REPS, || {
-        run(&RunCfg {
-            label: "cross-TC 1-in-5 @4 shards".into(),
-            shards: 4,
-            with_map: true,
-            cross_every: Some(5),
-            arbiter: None,
-            per_thread,
-        })
-    }));
-
-    // --- Shared log device: all four shard logs behind one arbiter.
-    rows.push(best_of(REPS, || {
-        run(&RunCfg {
-            label: "shared device, serial forces @4 shards".into(),
-            shards: 4,
-            with_map: true,
-            cross_every: None,
-            arbiter: Some(ArbiterMode::Serial),
-            per_thread,
-        })
-    }));
-    rows.push(best_of(REPS, || {
-        run(&RunCfg {
-            label: "shared device, coalescing arbiter @4 shards".into(),
-            shards: 4,
-            with_map: true,
-            cross_every: None,
-            arbiter: Some(ArbiterMode::Coalescing),
-            per_thread,
-        })
-    }));
-
-    let gates = gates(&rows);
-    E14Report {
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
+    let cfg = |label: &str, shards: u16, with_map: bool, cross_every, arbiter| RunCfg {
+        label: label.to_string(),
+        shards,
+        with_map,
+        cross_every,
+        arbiter,
         per_thread,
-        rows,
-        gates,
-    }
-}
-
-fn find<'a>(rows: &'a [E14Row], label: &str) -> &'a E14Row {
-    rows.iter()
-        .find(|r| r.label == label)
-        .unwrap_or_else(|| panic!("missing row {label}"))
-}
-
-fn gates(rows: &[E14Row]) -> Vec<E14Gate> {
-    let mut gates = Vec::new();
-    let mut gate = |name: String, value: f64, threshold: f64| {
-        gates.push(E14Gate {
-            name,
-            value,
-            threshold,
-            pass: value >= threshold,
-        });
     };
+    let cells = [
+        // Scale-out: single-shard transactions, one log device per shard.
+        cfg("scale-out @1 shards", 1, true, None, None),
+        cfg("scale-out @2 shards", 2, true, None, None),
+        cfg("scale-out @4 shards", 4, true, None, None),
+        // Shard-map overhead on the single-shard fast path.
+        cfg("one shard, no shard map", 1, false, None, None),
+        // Cross-TC transactions: one in five spans two shards.
+        cfg("cross-TC 1-in-5 @4 shards", 4, true, Some(5), None),
+        // Shared log device: all four shard logs behind one arbiter.
+        cfg(
+            "shared device, serial forces @4 shards",
+            4,
+            true,
+            None,
+            Some(ArbiterMode::Serial),
+        ),
+        cfg(
+            "shared device, coalescing arbiter @4 shards",
+            4,
+            true,
+            None,
+            Some(ArbiterMode::Coalescing),
+        ),
+    ];
+    let rows: Vec<E14Row> = cells
+        .iter()
+        .map(|c| best_of(REPS, |r: &E14Row| r.commits_per_sec, |_| run(c)))
+        .collect();
+    let gates = gates(&rows);
+    let params = vec![
+        ("per_thread_commits", Json::from(per_thread)),
+        (
+            "force_latency_us",
+            (FORCE_LATENCY.as_micros() as u64).into(),
+        ),
+        ("threads_per_shard", THREADS_PER_SHARD.into()),
+    ];
+    Report::new("e14_sharded_tc", smoke, params, &rows, gates)
+}
 
+fn gates(rows: &[E14Row]) -> Vec<Gate> {
+    let mut gates = Vec::new();
     // Scale-out: each shard brings its own log device, so commit
     // throughput must grow close to linearly with the shard count.
     let s1 = find(rows, "scale-out @1 shards").commits_per_sec;
     let s2 = find(rows, "scale-out @2 shards").commits_per_sec;
     let s4 = find(rows, "scale-out @4 shards").commits_per_sec;
-    gate("sharded TC scale-out @2 shards vs 1".into(), s2 / s1, 1.7);
-    gate("sharded TC scale-out @4 shards vs 1".into(), s4 / s1, 3.0);
+    gates.push(Gate::at_least(
+        "sharded TC scale-out @2 shards vs 1",
+        s2 / s1,
+        1.7,
+    ));
+    gates.push(Gate::at_least(
+        "sharded TC scale-out @4 shards vs 1",
+        s4 / s1,
+        3.0,
+    ));
 
     // The shard-map lookup rides every operation: the one-shard fast
     // path must stay within 10% of the map-free deployment.
     let nomap = find(rows, "one shard, no shard map").commits_per_sec;
-    gate(
-        "one-shard throughput with shard map vs without".into(),
+    gates.push(Gate::at_least(
+        "one-shard throughput with shard map vs without",
         s1 / nomap,
         0.9,
-    );
+    ));
 
     // Cross-TC transactions pay two forced log rounds (Prepare +
     // decision) on one in five commits; the blend must retain most of
     // the partitioned throughput.
     let cross = find(rows, "cross-TC 1-in-5 @4 shards");
-    gate(
-        "cross-TC blend (1-in-5) vs all-local @4 shards".into(),
+    gates.push(Gate::at_least(
+        "cross-TC blend (1-in-5) vs all-local @4 shards",
         cross.commits_per_sec / s4,
         0.25,
-    );
-    gate(
-        "cross-TC transactions actually committed via 2PC".into(),
+    ));
+    gates.push(Gate::at_least(
+        "cross-TC transactions actually committed via 2PC",
         cross.cross_commits.min(cross.prepares) as f64,
         1.0,
-    );
+    ));
 
     // Colocated logs: the coalescing arbiter shares device flushes
     // across shards; the serial baseline queues one per log force.
     let serial = find(rows, "shared device, serial forces @4 shards");
     let coal = find(rows, "shared device, coalescing arbiter @4 shards");
-    gate(
-        "shared-device coalescing speedup over serial forces @4 shards".into(),
+    gates.push(Gate::at_least(
+        "shared-device coalescing speedup over serial forces @4 shards",
         coal.commits_per_sec / serial.commits_per_sec,
         1.2,
-    );
+    ));
     gates
-}
-
-impl E14Report {
-    /// Print the rows and gates as the bench's human-readable table.
-    pub fn print(&self) {
-        println!(
-            "e14_sharded_tc ({} mode, force latency {:?}, {} threads/shard, {} commits/thread)",
-            self.mode, FORCE_LATENCY, THREADS_PER_SHARD, self.per_thread
-        );
-        println!(
-            "{:<46} {:>7} {:>8} {:>12} {:>7} {:>9} {:>14}",
-            "config", "shards", "threads", "commits/s", "cross", "prepares", "dev_fl/commit"
-        );
-        for r in &self.rows {
-            println!(
-                "{:<46} {:>7} {:>8} {:>12.0} {:>7} {:>9} {:>14.3}",
-                r.label,
-                r.shards,
-                r.threads,
-                r.commits_per_sec,
-                r.cross_commits,
-                r.prepares,
-                r.device_flushes_per_commit
-            );
-        }
-        for g in &self.gates {
-            println!(
-                "gate: {:<58} {:>8.2} (>= {:.2}) — {}",
-                g.name,
-                g.value,
-                g.threshold,
-                if g.pass { "OK" } else { "FAIL" }
-            );
-        }
-    }
-
-    /// Panic if any regression gate failed (the CI bar).
-    pub fn assert_gates(&self) {
-        for g in &self.gates {
-            assert!(
-                g.pass,
-                "e14 gate failed: {} — measured {:.3}, need >= {:.3}",
-                g.name, g.value, g.threshold
-            );
-        }
-    }
-
-    /// Serialize the whole report as JSON (no external dependencies:
-    /// labels are plain ASCII and every value is numeric).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e14_sharded_tc\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"per_thread_commits\": {},\n", self.per_thread));
-        s.push_str(&format!(
-            "  \"force_latency_us\": {},\n  \"threads_per_shard\": {},\n",
-            FORCE_LATENCY.as_micros(),
-            THREADS_PER_SHARD
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"shards\": {}, \"threads\": {}, \
-                 \"commits_per_sec\": {}, \"cross_commits\": {}, \"prepares\": {}, \
-                 \"device_flushes_per_commit\": {}}}{}\n",
-                r.label,
-                r.shards,
-                r.threads,
-                num(r.commits_per_sec),
-                r.cross_commits,
-                r.prepares,
-                num(r.device_flushes_per_commit),
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"threshold\": {}, \"pass\": {}}}{}\n",
-                g.name,
-                num(g.value),
-                num(g.threshold),
-                g.pass,
-                if i + 1 == self.gates.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
 }

@@ -1,10 +1,7 @@
 //! E15 harness: online TC rebalance (elastic split/merge) under an
 //! open-loop arrival-driven workload.
 //!
-//! Shared by `benches/e15_rebalance.rs` (the CI regression gate) and
-//! `src/bin/report.rs` (which serializes the same rows as
-//! `BENCH_e15.json` telemetry), so the gate and the recorded trajectory
-//! can never drift apart.
+//! `report e15`, telemetry `BENCH_e15.json`.
 //!
 //! E14 measured what a *static* sharded TC tier buys; this experiment
 //! measures what an *elastic* one costs while it changes shape. Two TC
@@ -30,14 +27,12 @@
 //!   budget: the move shows up as a few milliseconds of fence stall on
 //!   the moving range, not as an outage.
 
+use crate::elastic;
+use crate::json::Json;
+use crate::report::{best_of, find, Gate, Report};
 use crate::workload::{run_open_loop, ArrivalProcess, OpenLoopCfg};
-use crate::TABLE;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use unbundled_core::{DcId, Key, TableSpec, TcId, TcShardMap};
-use unbundled_dc::DcConfig;
-use unbundled_kernel::{Deployment, TransportKind};
-use unbundled_tc::{GatherWindow, GroupCommitCfg, ReadConsistency, TableRoute, TcConfig};
+use unbundled_core::{Key, TcId, TcShardMap};
 
 /// Simulated log-device flush latency (NVMe-class fsync), matching e14.
 pub const FORCE_LATENCY: Duration = Duration::from_micros(150);
@@ -72,117 +67,50 @@ const MOVE_OUT_FRAC: f64 = 0.4;
 /// When it moves back.
 const MOVE_BACK_FRAC: f64 = 0.7;
 
-/// One measured cell.
-pub struct E15Row {
-    /// `steady` or `rebalance`.
-    pub label: String,
-    /// Arrivals in the schedule.
-    pub offered: u64,
-    /// Arrivals admitted and committed.
-    pub delivered: u64,
-    /// Arrivals shed at the bounded admission queue.
-    pub shed: u64,
-    /// Delivered commits per second of makespan.
-    pub delivered_per_sec: f64,
-    /// p50 of scheduled-arrival → commit-done latency (µs).
-    pub total_p50_us: f64,
-    /// p99 (µs).
-    pub total_p99_us: f64,
-    /// Max (µs).
-    pub total_max_us: f64,
-    /// `RebalanceDone` records forced across the tier (worst rep).
-    pub moves: u64,
-    /// Published map epoch at the end of the run (worst rep).
-    pub map_epoch: u64,
-    /// Every shard at the final epoch with no fence left (worst rep).
-    pub settled: bool,
-    /// Local ops that slept on a fence and re-resolved their owner.
-    pub fence_reroutes: u64,
-    /// Forwards re-routed after a stale-epoch rejection.
-    pub stale_forward_reroutes: u64,
-    /// Client-visible retries (op or commit failed, re-routed and
-    /// re-issued by the workload).
-    pub retries: u64,
-    /// Acknowledged writes whose value did not survive (worst rep; the
-    /// zero-lost-acks gate).
-    pub lost_acks: u64,
-    /// Wall time of the move out of TC1 (ms; 0 in the steady cell).
-    pub move_out_ms: f64,
-    /// Wall time of the move back (ms; 0 in the steady cell).
-    pub move_back_ms: f64,
-}
-
-/// One pass/fail regression gate.
-pub struct E15Gate {
-    /// What the gate checks.
-    pub name: String,
-    /// Measured value.
-    pub value: f64,
-    /// Minimum acceptable value.
-    pub threshold: f64,
-    /// Whether the gate held.
-    pub pass: bool,
-}
-
-/// The full experiment output.
-pub struct E15Report {
-    /// `smoke` (CI) or `full`.
-    pub mode: String,
-    /// Measured arrival horizon per cell.
-    pub horizon_ms: u64,
-    /// All measured rows.
-    pub rows: Vec<E15Row>,
-    /// Regression gates over the rows.
-    pub gates: Vec<E15Gate>,
-}
-
-/// Two TC shards over two DCs, wired all-to-all with one *shared*
-/// partitioned table route: moving TC ownership of a key range never
-/// moves the data underneath it, so the DC placement must be common
-/// topology rather than per-TC opinion. Shard map starts even.
-fn elastic_deployment() -> Deployment {
-    let tc_cfg = TcConfig {
-        // Only the commit path may force.
-        force_every: usize::MAX,
-        resend_interval: Duration::from_millis(5),
-        // Bounds the fence wait; a move completes in milliseconds, so
-        // waiters resolve long before this, and even a pathological
-        // timeout-plus-retry stays inside the disturbance budget.
-        lock_timeout: Some(Duration::from_millis(300)),
-        group_commit: Some(GroupCommitCfg {
-            window: GatherWindow::adaptive(),
-            max_waiters: WORKERS,
-        }),
-        ..TcConfig::default()
-    };
-    let route = TableRoute::Partitioned(std::sync::Arc::new(vec![
-        (HALF, DcId(1)),
-        (u64::MAX, DcId(2)),
-    ]));
-    let mut d = Deployment::new();
-    for dc in [DcId(1), DcId(2)] {
-        d.add_dc(dc, DcConfig::default());
+crate::row! {
+    /// One measured cell.
+    pub struct E15Row {
+        /// `steady` or `rebalance`.
+        pub label: String,
+        /// Arrivals in the schedule.
+        pub offered: u64,
+        /// Arrivals admitted and committed.
+        pub delivered: u64,
+        /// Arrivals shed at the bounded admission queue.
+        pub shed: u64,
+        /// Delivered commits per second of makespan.
+        pub delivered_per_sec: f64,
+        /// p50 of scheduled-arrival → commit-done latency (µs).
+        pub total_p50_us: f64,
+        /// p99 (µs).
+        pub total_p99_us: f64,
+        /// Max (µs).
+        pub total_max_us: f64,
+        /// `RebalanceDone` records forced across the tier (worst rep).
+        pub moves: u64,
+        /// Published map epoch at the end of the run (worst rep).
+        pub map_epoch: u64,
+        /// Every shard at the final epoch with no fence left (worst rep).
+        pub settled: bool,
+        /// Local ops that slept on a fence and re-resolved their owner.
+        pub fence_reroutes: u64,
+        /// Forwards re-routed after a stale-epoch rejection.
+        pub stale_forward_reroutes: u64,
+        /// Client-visible retries (op or commit failed, re-routed and
+        /// re-issued by the workload).
+        pub retries: u64,
+        /// Acknowledged writes whose value did not survive (worst rep; the
+        /// zero-lost-acks gate).
+        pub lost_acks: u64,
+        /// Wall time of the move out of TC1 (ms; 0 in the steady cell).
+        pub move_out_ms: f64,
+        /// Wall time of the move back (ms; 0 in the steady cell).
+        pub move_back_ms: f64,
     }
-    for tc in [TcId(1), TcId(2)] {
-        d.add_tc(tc, tc_cfg.clone());
-        for dc in [DcId(1), DcId(2)] {
-            d.connect(tc, dc, TransportKind::Inline);
-        }
-    }
-    for dc in [DcId(1), DcId(2)] {
-        d.create_table(dc, TableSpec::plain(TABLE, "t"));
-    }
-    for tc in [TcId(1), TcId(2)] {
-        d.route(tc, TABLE, route.clone());
-    }
-    d.set_shard_map(TcShardMap::even(&[TcId(1), TcId(2)]));
-    d
 }
 
 /// Worker `w`'s key in `slot`: 0 below the cut (TC1 throughout), 1
-/// inside the moving range, 2 above `HALF` (TC2 throughout). Keys are
-/// worker-private, so the workload is conflict-free and the lost-ack
-/// check is exact (the last acknowledged write is the last write).
+/// inside the moving range, 2 above `HALF` (TC2 throughout).
 fn slot_key(w: usize, slot: usize) -> Key {
     let base = match slot {
         0 => 0,
@@ -193,56 +121,11 @@ fn slot_key(w: usize, slot: usize) -> Key {
 }
 
 fn run_cell(rebalance: bool, seed: u64, horizon: Duration) -> E15Row {
-    let d = elastic_deployment();
-    // Preload every slot key through its owner (latency-free), then
-    // charge the device latency for the measured phase.
-    for w in 0..WORKERS {
-        for slot in 0..SLOTS {
-            let key = slot_key(w, slot);
-            let owner = d.shard_map().expect("sharded").tc_for(&key);
-            let tc = d.tc(owner);
-            let txn = tc.begin().expect("begin preload");
-            tc.insert(txn, TABLE, key, vec![0u8; 8]).expect("preload");
-            tc.commit(txn).expect("commit preload");
-        }
-    }
-    for tc in [TcId(1), TcId(2)] {
-        d.tc_log(tc).set_force_latency(FORCE_LATENCY);
-    }
-
-    // Last acknowledged arrival index per (worker, slot); u64::MAX =
-    // never acked. A worker's arrivals are serviced in admission order
-    // on its own thread, so the last store is the last commit.
-    let last_acked: Vec<AtomicU64> = (0..WORKERS * SLOTS)
-        .map(|_| AtomicU64::new(u64::MAX))
-        .collect();
-    let retries = AtomicU64::new(0);
-    let commit_one = |w: usize, i: usize| {
-        let slot = i % SLOTS;
-        let key = slot_key(w, slot);
-        let val = (i as u64).to_le_bytes().to_vec();
-        loop {
-            // Route by the *current* map on every attempt: after a
-            // move, the same key commits through the new owner.
-            let owner = d.shard_map().expect("sharded").tc_for(&key);
-            let tc = d.tc(owner);
-            let Ok(txn) = tc.begin() else {
-                std::thread::sleep(Duration::from_micros(200));
-                continue;
-            };
-            let ok =
-                tc.update(txn, TABLE, key.clone(), val.clone()).is_ok() && tc.commit(txn).is_ok();
-            if ok {
-                last_acked[w * SLOTS + slot].store(i as u64, Ordering::Release);
-                return;
-            }
-            // A failed op already rolled the transaction back; a failed
-            // commit aborted it. Either way re-route and re-issue.
-            let _ = tc.abort(txn);
-            retries.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    };
+    let d = elastic::deployment(WORKERS, TcShardMap::even(&[TcId(1), TcId(2)]));
+    // Preload latency-free, then charge the device latency for the
+    // measured phase.
+    let load = elastic::Load::new(&d, WORKERS, SLOTS, slot_key);
+    elastic::set_force_latency(&d, FORCE_LATENCY);
 
     let schedule = ArrivalProcess::Poisson { rate: ARRIVAL_RATE }.schedule(seed, horizon);
     let cfg = OpenLoopCfg {
@@ -270,7 +153,7 @@ fn run_cell(rebalance: bool, seed: u64, horizon: Duration) -> E15Row {
                 (out, t0.elapsed())
             })
         });
-        result = Some(run_open_loop(&schedule, &cfg, commit_one));
+        result = Some(run_open_loop(&schedule, &cfg, |w, i| load.commit(&d, w, i)));
         if let Some(h) = mover {
             let (out, back) = h.join().expect("mover thread");
             move_out_ms = out.as_secs_f64() * 1e3;
@@ -278,38 +161,9 @@ fn run_cell(rebalance: bool, seed: u64, horizon: Duration) -> E15Row {
         }
     });
     let r = result.expect("open-loop result");
-    for tc in [TcId(1), TcId(2)] {
-        d.tc_log(tc).set_force_latency(Duration::ZERO);
-    }
-
-    // Zero-lost-acks check: every slot's current value must be the
-    // payload of the last acknowledged commit.
-    let mut lost_acks = 0u64;
-    for w in 0..WORKERS {
-        for slot in 0..SLOTS {
-            let acked = last_acked[w * SLOTS + slot].load(Ordering::Acquire);
-            if acked == u64::MAX {
-                continue;
-            }
-            let key = slot_key(w, slot);
-            let owner = d.shard_map().expect("sharded").tc_for(&key);
-            let tc = d.tc(owner);
-            let txn = tc.begin().expect("begin check");
-            let got = tc
-                .read(txn, TABLE, key, ReadConsistency::Locking)
-                .expect("read check");
-            tc.commit(txn).expect("commit check");
-            if got.as_deref() != Some(acked.to_le_bytes().as_slice()) {
-                lost_acks += 1;
-            }
-        }
-    }
-
-    let map_epoch = d.shard_map().expect("sharded").epoch();
-    let settled = [TcId(1), TcId(2)].iter().all(|id| {
-        let tc = d.tc(*id);
-        tc.map_epoch() == map_epoch && tc.fence_info().is_none()
-    });
+    elastic::set_force_latency(&d, Duration::ZERO);
+    let lost_acks = load.lost_acks(&d);
+    let (map_epoch, settled) = elastic::settled(&d);
     let (mut moves, mut fence_reroutes, mut stale_forward_reroutes) = (0u64, 0u64, 0u64);
     for id in [TcId(1), TcId(2)] {
         let snap = d.tc(id).stats().snapshot();
@@ -332,27 +186,32 @@ fn run_cell(rebalance: bool, seed: u64, horizon: Duration) -> E15Row {
         settled,
         fence_reroutes,
         stale_forward_reroutes,
-        retries: retries.load(Ordering::Relaxed),
+        retries: load.retries(),
         lost_acks,
         move_out_ms,
         move_back_ms,
     }
 }
 
-/// Best of `reps` repetitions by delivered throughput — except the
+/// Best of `REPS` cells by delivered throughput — except the
 /// correctness fields (`lost_acks`, `moves`, `map_epoch`, `settled`),
 /// which take their *worst* rep: CI wall-clock noise is one-sided, but
 /// a lost ack or an unfinished move in any rep is a bug, not noise.
-fn best_of(reps: usize, f: impl Fn(u64) -> E15Row) -> E15Row {
-    let rows: Vec<E15Row> = (0..reps.max(1) as u64).map(f).collect();
-    let lost_acks = rows.iter().map(|r| r.lost_acks).max().unwrap_or(0);
-    let moves = rows.iter().map(|r| r.moves).min().unwrap_or(0);
-    let map_epoch = rows.iter().map(|r| r.map_epoch).min().unwrap_or(0);
-    let settled = rows.iter().all(|r| r.settled);
-    let mut best = rows
-        .into_iter()
-        .max_by(|a, b| a.delivered_per_sec.total_cmp(&b.delivered_per_sec))
-        .expect("at least one rep");
+fn best_cell(rebalance: bool, seed: u64, horizon: Duration) -> E15Row {
+    const REPS: usize = 2;
+    let (mut lost_acks, mut moves, mut map_epoch, mut settled) = (0, u64::MAX, u64::MAX, true);
+    let mut best = best_of(
+        REPS,
+        |r: &E15Row| r.delivered_per_sec,
+        |rep| {
+            let r = run_cell(rebalance, seed + rep, horizon);
+            lost_acks = lost_acks.max(r.lost_acks);
+            moves = moves.min(r.moves);
+            map_epoch = map_epoch.min(r.map_epoch);
+            settled &= r.settled;
+            r
+        },
+    );
     best.lost_acks = lost_acks;
     best.moves = moves;
     best.map_epoch = map_epoch;
@@ -362,222 +221,70 @@ fn best_of(reps: usize, f: impl Fn(u64) -> E15Row) -> E15Row {
 
 /// Run the full experiment. `smoke` shrinks the horizon for CI; the
 /// gates are identical in both modes.
-pub fn run_e15(smoke: bool) -> E15Report {
+pub fn run_e15(smoke: bool) -> Report {
     let horizon = if smoke {
         Duration::from_millis(1200)
     } else {
         Duration::from_millis(4000)
     };
     let seed = 0xE15_0001u64;
-    const REPS: usize = 2;
-    let rows = vec![
-        best_of(REPS, |rep| run_cell(false, seed + rep, horizon)),
-        best_of(REPS, |rep| run_cell(true, seed + rep, horizon)),
-    ];
+    let rows = [false, true].map(|rebalance| best_cell(rebalance, seed, horizon));
     let gates = gates(&rows);
-    E15Report {
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        horizon_ms: horizon.as_millis() as u64,
-        rows,
-        gates,
-    }
+    let params = vec![
+        ("horizon_ms", Json::from(horizon.as_millis() as u64)),
+        (
+            "force_latency_us",
+            (FORCE_LATENCY.as_micros() as u64).into(),
+        ),
+        ("workers", WORKERS.into()),
+        ("arrival_rate", ARRIVAL_RATE.into()),
+        (
+            "disturbance_budget_us",
+            (DISTURBANCE_BUDGET.as_micros() as u64).into(),
+        ),
+    ];
+    Report::new("e15_rebalance", smoke, params, &rows, gates)
 }
 
-fn find<'a>(rows: &'a [E15Row], label: &str) -> &'a E15Row {
-    rows.iter()
-        .find(|r| r.label == label)
-        .unwrap_or_else(|| panic!("missing row {label}"))
-}
-
-fn gates(rows: &[E15Row]) -> Vec<E15Gate> {
-    let mut gates = Vec::new();
-    let mut gate = |name: String, value: f64, threshold: f64| {
-        gates.push(E15Gate {
-            name,
-            value,
-            threshold,
-            pass: value >= threshold,
-        });
-    };
+fn gates(rows: &[E15Row]) -> Vec<Gate> {
     let steady = find(rows, "steady");
     let moved = find(rows, "rebalance");
 
-    // An elastic move must never lose an acknowledged write (checked
-    // worst-rep: any rep losing one fails).
-    gate(
-        "rebalance: zero acknowledged writes lost".into(),
-        if moved.lost_acks == 0 { 1.0 } else { 0.0 },
-        1.0,
-    );
-    // Both moves completed online: two RebalanceDone records...
-    gate(
-        "rebalance: both range moves completed (RebalanceDone count)".into(),
-        moved.moves as f64,
-        2.0,
-    );
-    // ...and the tier settled: epoch-2 map on every shard, no fence.
-    gate(
-        "rebalance: map settled at epoch 2 on every shard, fences clear".into(),
-        if moved.settled && moved.map_epoch == 2 {
-            1.0
-        } else {
-            0.0
-        },
-        1.0,
-    );
-    // The arrival stream is sub-capacity: nothing sheds, move or not.
-    gate(
-        "no arrivals shed (steady and rebalance cells)".into(),
-        if steady.shed == 0 && moved.shed == 0 {
-            1.0
-        } else {
-            0.0
-        },
-        1.0,
-    );
-    // The move costs a bounded throughput dip, not an outage.
-    gate(
-        "rebalance: delivered throughput vs steady".into(),
-        moved.delivered_per_sec / steady.delivered_per_sec.max(f64::EPSILON),
-        0.8,
-    );
-    // And a bounded worst-case wait: fence stalls and re-routes are
-    // milliseconds, far inside the wide absolute budget.
-    gate(
-        "rebalance: worst arrival latency within disturbance budget".into(),
-        DISTURBANCE_BUDGET.as_secs_f64() * 1e6 / moved.total_max_us.max(f64::EPSILON),
-        1.0,
-    );
-    gates
-}
-
-impl E15Report {
-    /// Print the rows and gates as the bench's human-readable table.
-    pub fn print(&self) {
-        println!(
-            "e15_rebalance ({} mode, force latency {:?}, {} workers, {:.0}/s offered, horizon {} ms)",
-            self.mode, FORCE_LATENCY, WORKERS, ARRIVAL_RATE, self.horizon_ms
-        );
-        println!(
-            "{:<10} {:>8} {:>9} {:>5} {:>11} {:>9} {:>9} {:>10} {:>6} {:>6} {:>8} {:>8} {:>9} {:>9}",
-            "cell",
-            "offered",
-            "delivered",
-            "shed",
-            "delivered/s",
-            "p50_us",
-            "p99_us",
-            "max_us",
-            "moves",
-            "lost",
-            "reroute",
-            "retries",
-            "out_ms",
-            "back_ms"
-        );
-        for r in &self.rows {
-            println!(
-                "{:<10} {:>8} {:>9} {:>5} {:>11.0} {:>9.0} {:>9.0} {:>10.0} {:>6} {:>6} {:>8} {:>8} {:>9.1} {:>9.1}",
-                r.label,
-                r.offered,
-                r.delivered,
-                r.shed,
-                r.delivered_per_sec,
-                r.total_p50_us,
-                r.total_p99_us,
-                r.total_max_us,
-                r.moves,
-                r.lost_acks,
-                r.fence_reroutes + r.stale_forward_reroutes,
-                r.retries,
-                r.move_out_ms,
-                r.move_back_ms
-            );
-        }
-        for g in &self.gates {
-            println!(
-                "gate: {:<60} {:>8.2} (>= {:.2}) — {}",
-                g.name,
-                g.value,
-                g.threshold,
-                if g.pass { "OK" } else { "FAIL" }
-            );
-        }
-    }
-
-    /// Panic if any regression gate failed (the CI bar).
-    pub fn assert_gates(&self) {
-        for g in &self.gates {
-            assert!(
-                g.pass,
-                "e15 gate failed: {} — measured {:.3}, need >= {:.3}",
-                g.name, g.value, g.threshold
-            );
-        }
-    }
-
-    /// Serialize the whole report as JSON (no external dependencies:
-    /// labels are plain ASCII and every value is numeric or boolean).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e15_rebalance\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"horizon_ms\": {},\n", self.horizon_ms));
-        s.push_str(&format!(
-            "  \"force_latency_us\": {},\n  \"workers\": {},\n  \"arrival_rate\": {},\n  \"disturbance_budget_us\": {},\n",
-            FORCE_LATENCY.as_micros(),
-            WORKERS,
-            ARRIVAL_RATE,
-            DISTURBANCE_BUDGET.as_micros()
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"offered\": {}, \"delivered\": {}, \"shed\": {}, \
-                 \"delivered_per_sec\": {}, \"total_p50_us\": {}, \"total_p99_us\": {}, \
-                 \"total_max_us\": {}, \"moves\": {}, \"map_epoch\": {}, \"settled\": {}, \
-                 \"fence_reroutes\": {}, \"stale_forward_reroutes\": {}, \"retries\": {}, \
-                 \"lost_acks\": {}, \"move_out_ms\": {}, \"move_back_ms\": {}}}{}\n",
-                r.label,
-                r.offered,
-                r.delivered,
-                r.shed,
-                num(r.delivered_per_sec),
-                num(r.total_p50_us),
-                num(r.total_p99_us),
-                num(r.total_max_us),
-                r.moves,
-                r.map_epoch,
-                r.settled,
-                r.fence_reroutes,
-                r.stale_forward_reroutes,
-                r.retries,
-                r.lost_acks,
-                num(r.move_out_ms),
-                num(r.move_back_ms),
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"threshold\": {}, \"pass\": {}}}{}\n",
-                g.name,
-                num(g.value),
-                num(g.threshold),
-                g.pass,
-                if i + 1 == self.gates.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
+    vec![
+        // An elastic move must never lose an acknowledged write (checked
+        // worst-rep: any rep losing one fails).
+        Gate::holds(
+            "rebalance: zero acknowledged writes lost",
+            moved.lost_acks == 0,
+        ),
+        // Both moves completed online: two RebalanceDone records...
+        Gate::at_least(
+            "rebalance: both range moves completed (RebalanceDone count)",
+            moved.moves as f64,
+            2.0,
+        ),
+        // ...and the tier settled: epoch-2 map on every shard, no fence.
+        Gate::holds(
+            "rebalance: map settled at epoch 2 on every shard, fences clear",
+            moved.settled && moved.map_epoch == 2,
+        ),
+        // The arrival stream is sub-capacity: nothing sheds, move or not.
+        Gate::holds(
+            "no arrivals shed (steady and rebalance cells)",
+            steady.shed == 0 && moved.shed == 0,
+        ),
+        // The move costs a bounded throughput dip, not an outage.
+        Gate::at_least(
+            "rebalance: delivered throughput vs steady",
+            moved.delivered_per_sec / steady.delivered_per_sec.max(f64::EPSILON),
+            0.8,
+        ),
+        // And a bounded worst-case wait: fence stalls and re-routes are
+        // milliseconds, far inside the wide absolute budget.
+        Gate::at_least(
+            "rebalance: worst arrival latency within disturbance budget",
+            DISTURBANCE_BUDGET.as_secs_f64() * 1e6 / moved.total_max_us.max(f64::EPSILON),
+            1.0,
+        ),
+    ]
 }

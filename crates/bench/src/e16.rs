@@ -2,9 +2,7 @@
 //! contending writer, plus version-chain garbage collection across
 //! truncating checkpoints.
 //!
-//! Shared by `benches/e16_mvcc_reads.rs` (the CI regression gate) and
-//! `src/bin/report.rs` (which serializes the same rows as
-//! `BENCH_e16.json` telemetry).
+//! `report e16`, telemetry `BENCH_e16.json`.
 //!
 //! One writer keeps committing a transaction that updates *every* hot
 //! key (holding all their X locks across the simulated log-device
@@ -28,14 +26,16 @@
 //!   chain pruning, so retained history stays bounded across at least
 //!   12 truncating checkpoints.
 
-use crate::TABLE;
+use crate::json::Json;
+use crate::report::{Gate, Report};
+use crate::{unbundled_single, TABLE};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unbundled_core::{DcId, Key, TableSpec, TcId};
+use unbundled_core::{DcId, Key, TcId};
 use unbundled_dc::DcConfig;
 use unbundled_kernel::{Deployment, TransportKind};
-use unbundled_tc::{ReadConsistency, SnapshotSpec, TableRoute, Tc, TcConfig};
+use unbundled_tc::{ReadConsistency, SnapshotSpec, Tc, TcConfig};
 
 /// Simulated log-device flush latency (NVMe-class fsync). This is the
 /// writer's lock-hold window: commit forces the log and delivers the
@@ -51,76 +51,36 @@ const KEYS: u64 = 16;
 /// Reader threads per measured phase.
 const READERS: usize = 8;
 
-/// One measured read phase (locking or snapshot).
-pub struct E16Row {
-    /// Configuration label.
-    pub label: String,
-    /// Aggregate committed reads per second.
-    pub reads_per_sec: f64,
-    /// Reads issued across all reader threads.
-    pub reads: u64,
-    /// Lock-manager waits incurred during the phase (readers + writer).
-    pub lock_waits: u64,
-    /// Writer transactions committed during the phase.
-    pub commits: u64,
-    /// DC-side snapshot reads served during the phase.
-    pub snapshot_reads: u64,
-}
-
-/// One pass/fail regression gate.
-pub struct E16Gate {
-    /// What the gate checks.
-    pub name: String,
-    /// Measured value.
-    pub value: f64,
-    /// Minimum acceptable value.
-    pub threshold: f64,
-    /// Whether the gate held.
-    pub pass: bool,
-}
-
-/// The full experiment output.
-pub struct E16Report {
-    /// `smoke` (CI) or `full`.
-    pub mode: String,
-    /// Reads per reader thread.
-    pub per_reader: u64,
-    /// The locking and snapshot phases.
-    pub rows: Vec<E16Row>,
-    /// Pinned-snapshot transactions driven through the write storm.
-    pub si_rounds: u64,
-    /// Torn or unrepeatable pinned reads (must be zero).
-    pub si_violations: u64,
-    /// Truncating checkpoints driven in the GC phase.
-    pub checkpoints: u64,
-    /// Largest post-checkpoint version-chain entry count.
-    pub max_chain_entries: usize,
-    /// Version-chain entries after the final checkpoint.
-    pub final_chain_entries: usize,
-    /// Regression gates.
-    pub gates: Vec<E16Gate>,
+crate::row! {
+    /// One measured read phase (locking or snapshot).
+    pub struct E16Row {
+        /// Configuration label.
+        pub label: String,
+        /// Aggregate committed reads per second.
+        pub reads_per_sec: f64,
+        /// Reads issued across all reader threads.
+        pub reads: u64,
+        /// Lock-manager waits incurred during the phase (readers + writer).
+        pub lock_waits: u64,
+        /// Writer transactions committed during the phase.
+        pub commits: u64,
+        /// DC-side snapshot reads served during the phase.
+        pub snapshot_reads: u64,
+    }
 }
 
 /// One TC over one B-tree DC, inline links (deterministic): all
 /// contention in this experiment comes from record locks held across
 /// the commit force, not from the wire.
 fn deployment() -> Deployment {
-    let mut d = Deployment::new();
-    d.add_dc(PRIMARY, DcConfig::default());
-    d.add_tc(
-        TcId(1),
-        TcConfig {
-            // Only explicit commit forces pay the device latency —
-            // periodic bookkeeping forces would throttle the read
-            // phases and mask the lock-contention signal.
-            force_every: usize::MAX,
-            ..TcConfig::default()
-        },
-    );
-    d.connect(TcId(1), PRIMARY, TransportKind::Inline);
-    d.create_table(PRIMARY, TableSpec::plain(TABLE, "t"));
-    d.route(TcId(1), TABLE, TableRoute::Single(PRIMARY));
-    d
+    let tc_cfg = TcConfig {
+        // Only explicit commit forces pay the device latency — periodic
+        // bookkeeping forces would throttle the read phases and mask the
+        // lock-contention signal.
+        force_every: usize::MAX,
+        ..TcConfig::default()
+    };
+    unbundled_single(TransportKind::Inline, tc_cfg, DcConfig::default())
 }
 
 /// Seed every hot key with round counter 0 in ONE transaction, so any
@@ -180,6 +140,12 @@ fn run_read_phase(
     let stop = Arc::new(AtomicBool::new(false));
     let commits = Arc::new(AtomicU64::new(0));
     let writer = spawn_writer(d, &stop, &commits);
+    // Start the readers only once the writer has committed a round, so
+    // the measured window opens inside the write storm rather than
+    // before the writer is first scheduled.
+    while commits.load(Ordering::Acquire) == 0 {
+        std::thread::yield_now();
+    }
 
     let stats_before = tc.stats().snapshot();
     let (_, waits_before, _, _) = tc.lock_manager().stats().snapshot();
@@ -289,7 +255,7 @@ fn run_gc_phase(d: &Arc<Deployment>, checkpoints: u64) -> (usize, usize) {
 
 /// Run the full experiment. `smoke` shrinks the workload for CI; the
 /// gates are identical in both modes.
-pub fn run_e16(smoke: bool) -> E16Report {
+pub fn run_e16(smoke: bool) -> Report {
     let per_reader: u64 = if smoke { 300 } else { 2000 };
     let si_rounds: u64 = if smoke { 40 } else { 200 };
     let checkpoints: u64 = if smoke { 12 } else { 16 };
@@ -322,17 +288,21 @@ pub fn run_e16(smoke: bool) -> E16Report {
         checkpoints,
         max_chain_entries,
     );
-    E16Report {
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        per_reader,
-        rows: vec![locking, snapshot],
-        si_rounds,
-        si_violations,
-        checkpoints,
-        max_chain_entries,
-        final_chain_entries,
-        gates,
-    }
+    let params = vec![
+        ("per_reader_reads", Json::from(per_reader)),
+        (
+            "force_latency_us",
+            (FORCE_LATENCY.as_micros() as u64).into(),
+        ),
+        ("hot_keys", KEYS.into()),
+        ("readers", READERS.into()),
+        ("si_rounds", si_rounds.into()),
+        ("si_violations", si_violations.into()),
+        ("checkpoints", checkpoints.into()),
+        ("max_chain_entries", max_chain_entries.into()),
+        ("final_chain_entries", final_chain_entries.into()),
+    ];
+    Report::new("e16_mvcc_reads", smoke, params, &[locking, snapshot], gates)
 }
 
 fn gates(
@@ -341,149 +311,29 @@ fn gates(
     si_violations: u64,
     checkpoints: u64,
     max_chain_entries: usize,
-) -> Vec<E16Gate> {
-    let mut gates = Vec::new();
-    let mut gate = |name: String, value: f64, threshold: f64| {
-        gates.push(E16Gate {
-            name,
-            value,
-            threshold,
-            pass: value >= threshold,
-        });
-    };
-    gate(
-        "snapshot-read throughput vs locking under a contending writer".into(),
-        snapshot.reads_per_sec / locking.reads_per_sec,
-        2.0,
-    );
-    gate(
-        "zero lock waits on the snapshot read path".into(),
-        if snapshot.lock_waits == 0 { 1.0 } else { 0.0 },
-        1.0,
-    );
-    gate(
-        "snapshot phase served from MVCC chains (snapshot-read share)".into(),
-        snapshot.snapshot_reads as f64 / snapshot.reads.max(1) as f64,
-        1.0,
-    );
-    gate(
-        "zero snapshot-isolation violations (torn/unrepeatable reads)".into(),
-        if si_violations == 0 { 1.0 } else { 0.0 },
-        1.0,
-    );
-    gate(
-        format!("version memory bounded across {checkpoints} truncating checkpoints"),
-        if checkpoints >= 12 && max_chain_entries <= KEYS as usize {
-            1.0
-        } else {
-            0.0
-        },
-        1.0,
-    );
-    gates
-}
-
-impl E16Report {
-    /// Print the rows and gates as the bench's human-readable table.
-    pub fn print(&self) {
-        println!(
-            "e16_mvcc_reads ({} mode, force latency {:?}, {} readers × {} reads, {} hot keys)",
-            self.mode, FORCE_LATENCY, READERS, self.per_reader, KEYS
-        );
-        println!(
-            "{:<28} {:>12} {:>9} {:>11} {:>9} {:>15}",
-            "phase", "reads/s", "reads", "lock_waits", "commits", "snapshot_reads"
-        );
-        for r in &self.rows {
-            println!(
-                "{:<28} {:>12.0} {:>9} {:>11} {:>9} {:>15}",
-                r.label, r.reads_per_sec, r.reads, r.lock_waits, r.commits, r.snapshot_reads
-            );
-        }
-        println!(
-            "snapshot isolation: {} pinned rounds, {} violations",
-            self.si_rounds, self.si_violations
-        );
-        println!(
-            "version GC: {} truncating checkpoints, max {} / final {} retained chain entries",
-            self.checkpoints, self.max_chain_entries, self.final_chain_entries
-        );
-        for g in &self.gates {
-            println!(
-                "gate: {:<60} {:>6.2} (>= {:.2}) — {}",
-                g.name,
-                g.value,
-                g.threshold,
-                if g.pass { "OK" } else { "FAIL" }
-            );
-        }
-    }
-
-    /// Panic if any regression gate failed (the CI bar).
-    pub fn assert_gates(&self) {
-        for g in &self.gates {
-            assert!(
-                g.pass,
-                "e16 gate failed: {} — measured {:.3}, need >= {:.3}",
-                g.name, g.value, g.threshold
-            );
-        }
-    }
-
-    /// Serialize the whole report as JSON (no external dependencies).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e16_mvcc_reads\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"per_reader_reads\": {},\n", self.per_reader));
-        s.push_str(&format!(
-            "  \"force_latency_us\": {},\n  \"hot_keys\": {},\n  \"readers\": {},\n",
-            FORCE_LATENCY.as_micros(),
-            KEYS,
-            READERS
-        ));
-        s.push_str(&format!(
-            "  \"si_rounds\": {},\n  \"si_violations\": {},\n",
-            self.si_rounds, self.si_violations
-        ));
-        s.push_str(&format!(
-            "  \"checkpoints\": {},\n  \"max_chain_entries\": {},\n  \"final_chain_entries\": {},\n",
-            self.checkpoints, self.max_chain_entries, self.final_chain_entries
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"reads_per_sec\": {}, \"reads\": {}, \
-                 \"lock_waits\": {}, \"commits\": {}, \"snapshot_reads\": {}}}{}\n",
-                r.label,
-                num(r.reads_per_sec),
-                r.reads,
-                r.lock_waits,
-                r.commits,
-                r.snapshot_reads,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"threshold\": {}, \"pass\": {}}}{}\n",
-                g.name,
-                num(g.value),
-                num(g.threshold),
-                g.pass,
-                if i + 1 == self.gates.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
+) -> Vec<Gate> {
+    vec![
+        Gate::at_least(
+            "snapshot-read throughput vs locking under a contending writer",
+            snapshot.reads_per_sec / locking.reads_per_sec,
+            2.0,
+        ),
+        Gate::holds(
+            "zero lock waits on the snapshot read path",
+            snapshot.lock_waits == 0,
+        ),
+        Gate::at_least(
+            "snapshot phase served from MVCC chains (snapshot-read share)",
+            snapshot.snapshot_reads as f64 / snapshot.reads.max(1) as f64,
+            1.0,
+        ),
+        Gate::holds(
+            "zero snapshot-isolation violations (torn/unrepeatable reads)",
+            si_violations == 0,
+        ),
+        Gate::holds(
+            format!("version memory bounded across {checkpoints} truncating checkpoints"),
+            checkpoints >= 12 && max_chain_entries <= KEYS as usize,
+        ),
+    ]
 }

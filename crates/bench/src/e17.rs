@@ -1,9 +1,6 @@
 //! E17 harness: the shard autopilot against a ramp it must outrun.
 //!
-//! Shared by `benches/e17_autopilot.rs` (the CI regression gate) and
-//! `src/bin/report.rs` (which serializes the same rows as
-//! `BENCH_e17.json` telemetry), so the gate and the recorded trajectory
-//! can never drift apart.
+//! `report e17`, telemetry `BENCH_e17.json`.
 //!
 //! E15 proved a single online range move is cheap; this experiment asks
 //! whether the *policy* can decide to make one — unprompted, from
@@ -36,15 +33,14 @@
 //!   [`P99_BAND`]; the static cell breaches it. The band is the point:
 //!   the policy alone separates the two cells.
 
+use crate::elastic;
+use crate::json::Json;
+use crate::report::{best_of, find, Gate, Report};
 use crate::workload::{run_open_loop, ArrivalProcess, OpenLoopCfg};
-use crate::TABLE;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use unbundled_core::{DcId, Key, TableSpec, TcId, TcShardMap};
-use unbundled_dc::DcConfig;
-use unbundled_kernel::{cooldown_violations, Deployment, MoveKind, RebalanceCfg, TransportKind};
-use unbundled_tc::{GatherWindow, GroupCommitCfg, ReadConsistency, TableRoute, TcConfig};
+use unbundled_core::{Key, TcId, TcShardMap};
+use unbundled_kernel::{cooldown_violations, MoveKind, RebalanceCfg};
 
 /// Simulated log-device flush latency — deliberately slow (cloud
 /// network-attached storage, not local NVMe) so the redo log, not the
@@ -95,110 +91,51 @@ pub fn policy_cfg() -> RebalanceCfg {
     }
 }
 
-/// One measured cell.
-pub struct E17Row {
-    /// `static` or `policy`.
-    pub label: String,
-    /// Arrivals in the schedule.
-    pub offered: u64,
-    /// Arrivals admitted and committed.
-    pub delivered: u64,
-    /// Arrivals shed at the bounded admission queue.
-    pub shed: u64,
-    /// Delivered commits per second of makespan.
-    pub delivered_per_sec: f64,
-    /// p50 of scheduled-arrival → commit-done latency (µs).
-    pub total_p50_us: f64,
-    /// p99 (µs) — the banded number.
-    pub total_p99_us: f64,
-    /// Max (µs).
-    pub total_max_us: f64,
-    /// Completed autopilot splits (worst rep).
-    pub splits: u64,
-    /// Completed autopilot merges (worst rep).
-    pub merges: u64,
-    /// Cooldown-window violations across the move log (worst rep).
-    pub violations: u64,
-    /// Published map epoch at the end of the run (worst rep).
-    pub map_epoch: u64,
-    /// Every shard at the final epoch with no fence left (worst rep).
-    pub settled: bool,
-    /// Acknowledged writes whose value did not survive (worst rep).
-    pub lost_acks: u64,
-    /// Client-visible retries (re-routed and re-issued).
-    pub retries: u64,
-    /// When the first autopilot split completed (ms from policy start;
-    /// 0 when no split ran).
-    pub first_split_ms: f64,
-    /// Shards the policy considered for a move (telemetry, policy cell).
-    pub considered: u64,
-    /// Moves skipped inside a cooldown window (telemetry).
-    pub cooldown_skips: u64,
-}
-
-/// One pass/fail regression gate.
-pub struct E17Gate {
-    /// What the gate checks.
-    pub name: String,
-    /// Measured value.
-    pub value: f64,
-    /// Minimum acceptable value.
-    pub threshold: f64,
-    /// Whether the gate held.
-    pub pass: bool,
-}
-
-/// The full experiment output.
-pub struct E17Report {
-    /// `smoke` (CI) or `full`.
-    pub mode: String,
-    /// Measured arrival horizon per cell.
-    pub horizon_ms: u64,
-    /// All measured rows.
-    pub rows: Vec<E17Row>,
-    /// Regression gates over the rows.
-    pub gates: Vec<E17Gate>,
-}
-
-/// Two TC shards over two DCs (the e15 elastic topology), but the shard
-/// map starts with **everything on TC1** — TC2 is capacity the policy
-/// has to discover and use.
-fn autopilot_deployment() -> Deployment {
-    let tc_cfg = TcConfig {
-        force_every: usize::MAX,
-        resend_interval: Duration::from_millis(5),
-        lock_timeout: Some(Duration::from_millis(300)),
-        group_commit: Some(GroupCommitCfg {
-            window: GatherWindow::adaptive(),
-            max_waiters: MAX_WAITERS,
-        }),
-        ..TcConfig::default()
-    };
-    let route =
-        TableRoute::Partitioned(Arc::new(vec![(u64::MAX / 2, DcId(1)), (u64::MAX, DcId(2))]));
-    let mut d = Deployment::new();
-    for dc in [DcId(1), DcId(2)] {
-        d.add_dc(dc, DcConfig::default());
+crate::row! {
+    /// One measured cell.
+    pub struct E17Row {
+        /// `static` or `policy`.
+        pub label: String,
+        /// Arrivals in the schedule.
+        pub offered: u64,
+        /// Arrivals admitted and committed.
+        pub delivered: u64,
+        /// Arrivals shed at the bounded admission queue.
+        pub shed: u64,
+        /// Delivered commits per second of makespan.
+        pub delivered_per_sec: f64,
+        /// p50 of scheduled-arrival → commit-done latency (µs).
+        pub total_p50_us: f64,
+        /// p99 (µs) — the banded number.
+        pub total_p99_us: f64,
+        /// Max (µs).
+        pub total_max_us: f64,
+        /// Completed autopilot splits (worst rep).
+        pub splits: u64,
+        /// Completed autopilot merges (worst rep).
+        pub merges: u64,
+        /// Cooldown-window violations across the move log (worst rep).
+        pub violations: u64,
+        /// Published map epoch at the end of the run (worst rep).
+        pub map_epoch: u64,
+        /// Every shard at the final epoch with no fence left (worst rep).
+        pub settled: bool,
+        /// Acknowledged writes whose value did not survive (worst rep).
+        pub lost_acks: u64,
+        /// Client-visible retries (re-routed and re-issued).
+        pub retries: u64,
+        /// When the first autopilot split completed (ms from policy start;
+        /// 0 when no split ran).
+        pub first_split_ms: f64,
+        /// Shards the policy considered for a move (telemetry, policy cell).
+        pub considered: u64,
+        /// Moves skipped inside a cooldown window (telemetry).
+        pub cooldown_skips: u64,
     }
-    for tc in [TcId(1), TcId(2)] {
-        d.add_tc(tc, tc_cfg.clone());
-        for dc in [DcId(1), DcId(2)] {
-            d.connect(tc, dc, TransportKind::Inline);
-        }
-    }
-    for dc in [DcId(1), DcId(2)] {
-        d.create_table(dc, TableSpec::plain(TABLE, "t"));
-    }
-    for tc in [TcId(1), TcId(2)] {
-        d.route(tc, TABLE, route.clone());
-    }
-    d.set_shard_map(TcShardMap::single(TcId(1)));
-    d
 }
 
 /// Worker `w`'s key in `slot`: slots 0..7 spread across the bottom
-/// eighth, slot 7 in the top eighth. Worker-private, so the workload is
-/// conflict-free and the lost-ack check is exact.
+/// eighth, slot 7 in the top eighth.
 fn slot_key(w: usize, slot: usize) -> Key {
     let base = if slot < SLOTS - 1 {
         (EIGHTH / SLOTS as u64) * slot as u64
@@ -209,49 +146,14 @@ fn slot_key(w: usize, slot: usize) -> Key {
 }
 
 fn run_cell(policy: bool, seed: u64, horizon: Duration) -> E17Row {
-    let d = Arc::new(autopilot_deployment());
-    for w in 0..WORKERS {
-        for slot in 0..SLOTS {
-            let key = slot_key(w, slot);
-            let owner = d.shard_map().expect("sharded").tc_for(&key);
-            let tc = d.tc(owner);
-            let txn = tc.begin().expect("begin preload");
-            tc.insert(txn, TABLE, key, vec![0u8; 8]).expect("preload");
-            tc.commit(txn).expect("commit preload");
-        }
-    }
-    for tc in [TcId(1), TcId(2)] {
-        d.tc_log(tc).set_force_latency(FORCE_LATENCY);
-    }
-
-    let last_acked: Vec<AtomicU64> = (0..WORKERS * SLOTS)
-        .map(|_| AtomicU64::new(u64::MAX))
-        .collect();
-    let retries = AtomicU64::new(0);
-    let commit_one = |w: usize, i: usize| {
-        let slot = i % SLOTS;
-        let key = slot_key(w, slot);
-        let val = (i as u64).to_le_bytes().to_vec();
-        loop {
-            // Route by the *current* map on every attempt: after an
-            // autopilot split, the same key commits through TC2.
-            let owner = d.shard_map().expect("sharded").tc_for(&key);
-            let tc = d.tc(owner);
-            let Ok(txn) = tc.begin() else {
-                std::thread::sleep(Duration::from_micros(200));
-                continue;
-            };
-            let ok =
-                tc.update(txn, TABLE, key.clone(), val.clone()).is_ok() && tc.commit(txn).is_ok();
-            if ok {
-                last_acked[w * SLOTS + slot].store(i as u64, Ordering::Release);
-                return;
-            }
-            let _ = tc.abort(txn);
-            retries.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    };
+    // The e15 topology, but the shard map starts with **everything on
+    // TC1**: TC2 is capacity the policy has to discover and use.
+    let d = Arc::new(elastic::deployment(
+        MAX_WAITERS,
+        TcShardMap::single(TcId(1)),
+    ));
+    let load = elastic::Load::new(&d, WORKERS, SLOTS, slot_key);
+    elastic::set_force_latency(&d, FORCE_LATENCY);
 
     let schedule = ArrivalProcess::Ramp {
         start_rate: RAMP_START,
@@ -263,7 +165,7 @@ fn run_cell(policy: bool, seed: u64, horizon: Duration) -> E17Row {
         workers: WORKERS,
     };
     let autopilot = policy.then(|| d.start_autopilot(policy_cfg()));
-    let r = run_open_loop(&schedule, &cfg, commit_one);
+    let r = run_open_loop(&schedule, &cfg, |w, i| load.commit(&d, w, i));
     let (moves, considered, cooldown_skips) = match autopilot {
         Some(p) => {
             let considered = p.registry().snapshot().counter("policy.considered");
@@ -272,38 +174,9 @@ fn run_cell(policy: bool, seed: u64, horizon: Duration) -> E17Row {
         }
         None => (Vec::new(), 0, 0),
     };
-    for tc in [TcId(1), TcId(2)] {
-        d.tc_log(tc).set_force_latency(Duration::ZERO);
-    }
-
-    // Zero-lost-acks check: every slot's current value must be the
-    // payload of the last acknowledged commit.
-    let mut lost_acks = 0u64;
-    for w in 0..WORKERS {
-        for slot in 0..SLOTS {
-            let acked = last_acked[w * SLOTS + slot].load(Ordering::Acquire);
-            if acked == u64::MAX {
-                continue;
-            }
-            let key = slot_key(w, slot);
-            let owner = d.shard_map().expect("sharded").tc_for(&key);
-            let tc = d.tc(owner);
-            let txn = tc.begin().expect("begin check");
-            let got = tc
-                .read(txn, TABLE, key, ReadConsistency::Locking)
-                .expect("read check");
-            tc.commit(txn).expect("commit check");
-            if got.as_deref() != Some(acked.to_le_bytes().as_slice()) {
-                lost_acks += 1;
-            }
-        }
-    }
-
-    let map_epoch = d.shard_map().expect("sharded").epoch();
-    let settled = [TcId(1), TcId(2)].iter().all(|id| {
-        let tc = d.tc(*id);
-        tc.map_epoch() == map_epoch && tc.fence_info().is_none()
-    });
+    elastic::set_force_latency(&d, Duration::ZERO);
+    let lost_acks = load.lost_acks(&d);
+    let (map_epoch, settled) = elastic::settled(&d);
     let splits = moves.iter().filter(|m| m.kind == MoveKind::Split).count() as u64;
     let merges = moves.iter().filter(|m| m.kind == MoveKind::Merge).count() as u64;
     let violations = cooldown_violations(&moves, policy_cfg().cooldown) as u64;
@@ -328,27 +201,32 @@ fn run_cell(policy: bool, seed: u64, horizon: Duration) -> E17Row {
         map_epoch,
         settled,
         lost_acks,
-        retries: retries.load(Ordering::Relaxed),
+        retries: load.retries(),
         first_split_ms,
         considered,
         cooldown_skips,
     }
 }
 
-/// Best of `reps` repetitions by delivered throughput — except the
+/// Best of `REPS` cells by delivered throughput — except the
 /// correctness fields, which take their *worst* rep: wall-clock noise
 /// is one-sided, but a lost ack, a missing split, a thrashing move log
 /// or an unsettled map in any rep is a bug, not noise.
-fn best_of(reps: usize, f: impl Fn(u64) -> E17Row) -> E17Row {
-    let rows: Vec<E17Row> = (0..reps.max(1) as u64).map(f).collect();
-    let lost_acks = rows.iter().map(|r| r.lost_acks).max().unwrap_or(0);
-    let splits = rows.iter().map(|r| r.splits).min().unwrap_or(0);
-    let violations = rows.iter().map(|r| r.violations).max().unwrap_or(0);
-    let settled = rows.iter().all(|r| r.settled);
-    let mut best = rows
-        .into_iter()
-        .max_by(|a, b| a.delivered_per_sec.total_cmp(&b.delivered_per_sec))
-        .expect("at least one rep");
+fn best_cell(policy: bool, seed: u64, horizon: Duration) -> E17Row {
+    const REPS: usize = 2;
+    let (mut lost_acks, mut splits, mut violations, mut settled) = (0, u64::MAX, 0, true);
+    let mut best = best_of(
+        REPS,
+        |r: &E17Row| r.delivered_per_sec,
+        |rep| {
+            let r = run_cell(policy, seed + rep, horizon);
+            lost_acks = lost_acks.max(r.lost_acks);
+            splits = splits.min(r.splits);
+            violations = violations.max(r.violations);
+            settled &= r.settled;
+            r
+        },
+    );
     best.lost_acks = lost_acks;
     best.splits = splits;
     best.violations = violations;
@@ -358,224 +236,73 @@ fn best_of(reps: usize, f: impl Fn(u64) -> E17Row) -> E17Row {
 
 /// Run the full experiment. `smoke` shrinks the horizon for CI; the
 /// gates are identical in both modes.
-pub fn run_e17(smoke: bool) -> E17Report {
+pub fn run_e17(smoke: bool) -> Report {
     let horizon = if smoke {
         Duration::from_millis(1500)
     } else {
         Duration::from_millis(4000)
     };
     let seed = 0xE17_0001u64;
-    const REPS: usize = 2;
-    let rows = vec![
-        best_of(REPS, |rep| run_cell(false, seed + rep, horizon)),
-        best_of(REPS, |rep| run_cell(true, seed + rep, horizon)),
-    ];
+    let rows = [false, true].map(|policy| best_cell(policy, seed, horizon));
     let gates = gates(&rows);
-    E17Report {
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        horizon_ms: horizon.as_millis() as u64,
-        rows,
-        gates,
-    }
+    let params = vec![
+        ("horizon_ms", Json::from(horizon.as_millis() as u64)),
+        (
+            "force_latency_us",
+            (FORCE_LATENCY.as_micros() as u64).into(),
+        ),
+        ("workers", WORKERS.into()),
+        ("max_waiters", MAX_WAITERS.into()),
+        ("ramp_start", RAMP_START.into()),
+        ("ramp_end", RAMP_END.into()),
+        ("p99_band_us", (P99_BAND.as_micros() as u64).into()),
+    ];
+    Report::new("e17_autopilot", smoke, params, &rows, gates)
 }
 
-fn find<'a>(rows: &'a [E17Row], label: &str) -> &'a E17Row {
-    rows.iter()
-        .find(|r| r.label == label)
-        .unwrap_or_else(|| panic!("missing row {label}"))
-}
-
-fn gates(rows: &[E17Row]) -> Vec<E17Gate> {
-    let mut gates = Vec::new();
-    let mut gate = |name: String, value: f64, threshold: f64| {
-        gates.push(E17Gate {
-            name,
-            value,
-            threshold,
-            pass: value >= threshold,
-        });
-    };
+fn gates(rows: &[E17Row]) -> Vec<Gate> {
     let fixed = find(rows, "static");
     let auto = find(rows, "policy");
     let band_us = P99_BAND.as_secs_f64() * 1e6;
 
-    // Policy-initiated moves never lose an acknowledged write.
-    gate(
-        "policy: zero acknowledged writes lost".into(),
-        if auto.lost_acks == 0 { 1.0 } else { 0.0 },
-        1.0,
-    );
-    // The autopilot acted: at least one completed split, every rep.
-    gate(
-        "policy: at least one completed autopilot split".into(),
-        auto.splits as f64,
-        1.0,
-    );
-    // And left the tier settled: every shard at the final epoch, no
-    // fence behind.
-    gate(
-        "policy: map settled on every shard, fences clear".into(),
-        if auto.settled { 1.0 } else { 0.0 },
-        1.0,
-    );
-    // No thrash: a range moves at most once per cooldown window.
-    gate(
-        "policy: no range moved twice within one cooldown window".into(),
-        if auto.violations == 0 { 1.0 } else { 0.0 },
-        1.0,
-    );
-    // The band separation — the policy cell holds p99 inside the band…
-    gate(
-        "policy: arrival→commit p99 inside the band".into(),
-        band_us / auto.total_p99_us.max(f64::EPSILON),
-        1.0,
-    );
-    // …that the static map breaches on the same ramp.
-    gate(
-        "static: arrival→commit p99 breaches the band".into(),
-        fixed.total_p99_us / band_us,
-        1.0,
-    );
-    // The split buys real capacity: the policy cell delivers at least
-    // what the saturating static cell manages.
-    gate(
-        "policy: delivered throughput vs static".into(),
-        auto.delivered_per_sec / fixed.delivered_per_sec.max(f64::EPSILON),
-        1.0,
-    );
-    gates
-}
-
-impl E17Report {
-    /// Print the rows and gates as the bench's human-readable table.
-    pub fn print(&self) {
-        println!(
-            "e17_autopilot ({} mode, force latency {:?}, {} workers, max_waiters {}, ramp {:.0}→{:.0}/s, horizon {} ms, band {:?})",
-            self.mode, FORCE_LATENCY, WORKERS, MAX_WAITERS, RAMP_START, RAMP_END, self.horizon_ms, P99_BAND
-        );
-        println!(
-            "{:<8} {:>8} {:>9} {:>6} {:>11} {:>9} {:>9} {:>10} {:>6} {:>6} {:>5} {:>6} {:>8} {:>10}",
-            "cell",
-            "offered",
-            "delivered",
-            "shed",
-            "delivered/s",
-            "p50_us",
-            "p99_us",
-            "max_us",
-            "splits",
-            "viol",
-            "lost",
-            "epoch",
-            "retries",
-            "1st_split"
-        );
-        for r in &self.rows {
-            println!(
-                "{:<8} {:>8} {:>9} {:>6} {:>11.0} {:>9.0} {:>9.0} {:>10.0} {:>6} {:>6} {:>5} {:>6} {:>8} {:>8.0}ms",
-                r.label,
-                r.offered,
-                r.delivered,
-                r.shed,
-                r.delivered_per_sec,
-                r.total_p50_us,
-                r.total_p99_us,
-                r.total_max_us,
-                r.splits,
-                r.violations,
-                r.lost_acks,
-                r.map_epoch,
-                r.retries,
-                r.first_split_ms
-            );
-        }
-        for g in &self.gates {
-            println!(
-                "gate: {:<60} {:>8.2} (>= {:.2}) — {}",
-                g.name,
-                g.value,
-                g.threshold,
-                if g.pass { "OK" } else { "FAIL" }
-            );
-        }
-    }
-
-    /// Panic if any regression gate failed (the CI bar).
-    pub fn assert_gates(&self) {
-        for g in &self.gates {
-            assert!(
-                g.pass,
-                "e17 gate failed: {} — measured {:.3}, need >= {:.3}",
-                g.name, g.value, g.threshold
-            );
-        }
-    }
-
-    /// Serialize the whole report as JSON (no external dependencies:
-    /// labels are plain ASCII and every value is numeric or boolean).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e17_autopilot\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"horizon_ms\": {},\n", self.horizon_ms));
-        s.push_str(&format!(
-            "  \"force_latency_us\": {},\n  \"workers\": {},\n  \"max_waiters\": {},\n  \"ramp_start\": {},\n  \"ramp_end\": {},\n  \"p99_band_us\": {},\n",
-            FORCE_LATENCY.as_micros(),
-            WORKERS,
-            MAX_WAITERS,
-            RAMP_START,
-            RAMP_END,
-            P99_BAND.as_micros()
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"offered\": {}, \"delivered\": {}, \"shed\": {}, \
-                 \"delivered_per_sec\": {}, \"total_p50_us\": {}, \"total_p99_us\": {}, \
-                 \"total_max_us\": {}, \"splits\": {}, \"merges\": {}, \"violations\": {}, \
-                 \"map_epoch\": {}, \"settled\": {}, \"lost_acks\": {}, \"retries\": {}, \
-                 \"first_split_ms\": {}, \"considered\": {}, \"cooldown_skips\": {}}}{}\n",
-                r.label,
-                r.offered,
-                r.delivered,
-                r.shed,
-                num(r.delivered_per_sec),
-                num(r.total_p50_us),
-                num(r.total_p99_us),
-                num(r.total_max_us),
-                r.splits,
-                r.merges,
-                r.violations,
-                r.map_epoch,
-                r.settled,
-                r.lost_acks,
-                r.retries,
-                num(r.first_split_ms),
-                r.considered,
-                r.cooldown_skips,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"threshold\": {}, \"pass\": {}}}{}\n",
-                g.name,
-                num(g.value),
-                num(g.threshold),
-                g.pass,
-                if i + 1 == self.gates.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
+    vec![
+        // Policy-initiated moves never lose an acknowledged write.
+        Gate::holds("policy: zero acknowledged writes lost", auto.lost_acks == 0),
+        // The autopilot acted: at least one completed split, every rep.
+        Gate::at_least(
+            "policy: at least one completed autopilot split",
+            auto.splits as f64,
+            1.0,
+        ),
+        // And left the tier settled: every shard at the final epoch, no
+        // fence behind.
+        Gate::holds(
+            "policy: map settled on every shard, fences clear",
+            auto.settled,
+        ),
+        // No thrash: a range moves at most once per cooldown window.
+        Gate::holds(
+            "policy: no range moved twice within one cooldown window",
+            auto.violations == 0,
+        ),
+        // The band separation — the policy cell holds p99 inside the band…
+        Gate::at_least(
+            "policy: arrival→commit p99 inside the band",
+            band_us / auto.total_p99_us.max(f64::EPSILON),
+            1.0,
+        ),
+        // …that the static map breaches on the same ramp.
+        Gate::at_least(
+            "static: arrival→commit p99 breaches the band",
+            fixed.total_p99_us / band_us,
+            1.0,
+        ),
+        // The split buys real capacity: the policy cell delivers at least
+        // what the saturating static cell manages.
+        Gate::at_least(
+            "policy: delivered throughput vs static",
+            auto.delivered_per_sec / fixed.delivered_per_sec.max(f64::EPSILON),
+            1.0,
+        ),
+    ]
 }

@@ -1,16 +1,16 @@
-//! A minimal JSON reader for the bench-telemetry pipeline.
+//! A minimal JSON value for the bench-telemetry pipeline.
 //!
-//! The workspace is offline (no serde); the telemetry JSON this crate
-//! *writes* is assembled by hand, and the `report check` regression
-//! harness needs to read it (and the checked-in baseline file) back.
-//! This is a small recursive-descent parser for standard JSON —
-//! objects, arrays, strings with the common escapes, f64 numbers,
-//! booleans and null — plus the handful of typed accessors the
-//! baseline checker uses. Not a general-purpose serializer; writing
-//! stays hand-assembled at each experiment's `to_json`.
+//! The workspace is offline (no serde). Every JSON document this crate
+//! writes — the `BENCH_*.json` telemetry and the refreshed baseline
+//! block — goes through [`Json::render`], and the `report check`
+//! regression harness reads telemetry (and the checked-in baseline
+//! file) back with [`Json::parse`]: a small recursive-descent parser
+//! for standard JSON — objects, arrays, strings with the common
+//! escapes, f64 numbers, booleans and null — plus the handful of typed
+//! accessors the baseline checker uses.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -99,6 +99,112 @@ impl Json {
             Json::Bool(b) => Some(*b),
             _ => None,
         }
+    }
+
+    /// Serialize as a JSON document that [`Json::parse`] reads back
+    /// equal. A container holding no array goes on one line (a telemetry
+    /// row, a gate); anything holding an array spreads one element per
+    /// line. Non-finite numbers render as `null`.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn holds_array(&self) -> bool {
+        match self {
+            Json::Arr(_) => true,
+            Json::Obj(m) => m.values().any(Json::holds_array),
+            _ => false,
+        }
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        let (open, close, items): (char, char, Vec<(Option<&String>, &Json)>) = match self {
+            Json::Null => return out.push_str("null"),
+            Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if n.is_finite() => return write!(out, "{n}").expect("infallible"),
+            Json::Num(_) => return out.push_str("null"),
+            Json::Str(s) => return write_str(out, s),
+            Json::Arr(a) => ('[', ']', a.iter().map(|v| (None, v)).collect()),
+            Json::Obj(m) => ('{', '}', m.iter().map(|(k, v)| (Some(k), v)).collect()),
+        };
+        let spread = self.holds_array() && !items.is_empty();
+        out.push(open);
+        for (i, (key, value)) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+                if !spread {
+                    out.push(' ');
+                }
+            }
+            if spread {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth + 1));
+            }
+            if let Some(k) = key {
+                write_str(out, k);
+                out.push_str(": ");
+            }
+            value.write(out, depth + 1);
+        }
+        if spread {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        }
+        out.push(close);
+    }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).expect("infallible"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+
+macro_rules! from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Num(v as f64)
+            }
+        }
+    )*};
+}
+from_integer!(u64, usize, u16);
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
     }
 }
 
@@ -334,8 +440,38 @@ mod tests {
     }
 
     #[test]
+    fn render_roundtrips_through_parse() {
+        let row = |label: &str, v: f64| {
+            Json::Obj(BTreeMap::from([
+                ("label".to_string(), Json::from(label)),
+                ("v".to_string(), Json::from(v)),
+                ("ok".to_string(), Json::from(true)),
+            ]))
+        };
+        let doc = Json::Obj(BTreeMap::from([
+            ("experiment".to_string(), Json::from("e0_test")),
+            ("count".to_string(), Json::from(18_446_744_073u64)),
+            ("none".to_string(), Json::Null),
+            ("empty".to_string(), Json::Arr(Vec::new())),
+            (
+                "rows".to_string(),
+                Json::Arr(vec![
+                    row("quote \" and backslash \\ and\ttab", 18123.456789),
+                    row("tiny", 1.0e-7),
+                    row("négatif — \u{1}", -0.125),
+                ]),
+            ),
+        ]));
+        let text = doc.render();
+        assert_eq!(Json::parse(&text).unwrap(), doc, "{text}");
+        // Rows stay one per line; non-finite numbers become null.
+        assert_eq!(text.lines().filter(|l| l.contains("\"label\"")).count(), 3);
+        assert_eq!(Json::from(f64::NAN).render(), "null\n");
+    }
+
+    #[test]
     fn roundtrips_real_bench_telemetry_shape() {
-        // The exact shape e11's to_json writes.
+        // The shape the hand-assembled telemetry writers used to emit.
         let doc = "{\n  \"experiment\": \"e11_group_commit\",\n  \"mode\": \"smoke\",\n  \
                    \"rows\": [\n    {\"label\": \"inline group adaptive\", \"threads\": 32, \
                    \"commits_per_sec\": 18123.456}\n  ],\n  \"gates\": [\n    \

@@ -1,10 +1,11 @@
 //! # unbundled-bench
 //!
-//! Shared workload builders for the experiment suite. Each experiment
-//! `E1`–`E10` (see `DESIGN.md` §4 and `EXPERIMENTS.md`) has a Criterion
-//! bench under `benches/` and a printable table in `src/bin/report.rs`;
-//! the commit-path experiment E11 lives in [`e11`] so the bench gate and
-//! the report's JSON telemetry share one harness.
+//! The experiment suite reproducing the paper's evaluation. Every
+//! experiment is a function `fn(smoke: bool) -> Report` (see
+//! [`report`]): the paper's §3–§5 measurements in [`paper`], the §6
+//! multi-TC gate in [`e8`], and the feature gates [`e11`]–[`e17`] and
+//! [`obs`]. The `report` binary lists them in one table and runs them;
+//! this file holds the workload builders they share.
 
 #![warn(missing_docs)]
 
@@ -16,8 +17,12 @@ pub mod e14;
 pub mod e15;
 pub mod e16;
 pub mod e17;
+pub mod e8;
+pub mod elastic;
 pub mod json;
 pub mod obs;
+pub mod paper;
+pub mod report;
 pub mod workload;
 
 use std::sync::Arc;
@@ -25,8 +30,7 @@ use unbundled_core::{DcId, Key, TableId, TableSpec, TcId};
 use unbundled_dc::DcConfig;
 use unbundled_kernel::deployment::{Deployment, TransportKind};
 use unbundled_kernel::single;
-use unbundled_monolith::{Monolith, MonolithConfig};
-use unbundled_tc::{ReadConsistency, TableRoute, Tc, TcConfig};
+use unbundled_tc::{TableRoute, Tc, TcConfig};
 
 /// The table used by the generic workloads.
 pub const TABLE: TableId = TableId(1);
@@ -36,48 +40,12 @@ pub fn unbundled_single(kind: TransportKind, tc_cfg: TcConfig, dc_cfg: DcConfig)
     single(tc_cfg, dc_cfg, kind, &[TableSpec::plain(TABLE, "t")])
 }
 
-/// A monolithic engine with the same table.
-pub fn monolith() -> Arc<Monolith> {
-    let m = Monolith::new(MonolithConfig::default());
-    m.create_table(TABLE);
-    m
-}
-
 /// Insert `n` sequential keys (one transaction each) through a TC.
 pub fn load_tc(tc: &Arc<Tc>, base: u64, n: u64, payload: usize) {
     for k in base..base + n {
         let t = tc.begin().expect("begin");
         tc.insert(t, TABLE, Key::from_u64(k), vec![7u8; payload])
             .expect("insert");
-        tc.commit(t).expect("commit");
-    }
-}
-
-/// Insert `n` sequential keys through the monolith.
-pub fn load_monolith(m: &Arc<Monolith>, base: u64, n: u64, payload: usize) {
-    for k in base..base + n {
-        let t = m.begin();
-        m.insert(t, TABLE, Key::from_u64(k), vec![7u8; payload])
-            .expect("insert");
-        m.commit(t).expect("commit");
-    }
-}
-
-/// Read-modify-write transaction mix over `key_space` keys.
-pub fn rmw_tc(tc: &Arc<Tc>, iterations: u64, key_space: u64) {
-    for i in 0..iterations {
-        let k = (i.wrapping_mul(2654435761)) % key_space;
-        let t = tc.begin().expect("begin");
-        let v = tc
-            .read(t, TABLE, Key::from_u64(k), ReadConsistency::Locking)
-            .expect("read")
-            .unwrap_or_default();
-        let mut v2 = v;
-        v2.push(1);
-        if v2.len() > 64 {
-            v2.truncate(8);
-        }
-        tc.update(t, TABLE, Key::from_u64(k), v2).expect("update");
         tc.commit(t).expect("commit");
     }
 }
@@ -115,12 +83,7 @@ mod tests {
         );
         let tc = d.tc(TcId(1));
         load_tc(&tc, 0, 20, 16);
-        rmw_tc(&tc, 10, 20);
-        let m = monolith();
-        load_monolith(&m, 0, 20, 16);
-        let t = m.begin();
-        assert_eq!(m.scan(t, TABLE, Key::empty(), None).unwrap().len(), 20);
-        m.commit(t).unwrap();
+        assert_eq!(d.dc(DcId(1)).engine().dump_table(TABLE).unwrap().len(), 20);
     }
 
     #[test]

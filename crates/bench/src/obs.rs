@@ -1,8 +1,7 @@
 //! Observability report harness: per-stage commit-path latency
 //! breakdowns over an e14-style cross-TC deployment.
 //!
-//! Shared by `src/bin/report.rs` (`report obs`, optionally `--json`),
-//! this harness answers the question the raw throughput experiments
+//! `report obs`, telemetry `BENCH_obs.json`. This harness answers the question the raw throughput experiments
 //! cannot: *where does a commit spend its time?* It drives a two-shard
 //! TC deployment (one transaction in five crossing shards through 2PC)
 //! against a simulated 150 µs log device, then reads the per-stage
@@ -25,12 +24,14 @@
 //! `tc.commit_ns` p50. A drifting gate means an instrumentation hole —
 //! some stage is measured twice or not at all.
 //!
-//! The report also replays one traced cross-TC commit with spans
+//! The run also replays one traced cross-TC commit with spans
 //! enabled and prints the reconstructed tree (`tc.txn → tc.commit →
 //! prepare/gather/force/apply/decision`), so the span taxonomy in the
 //! README stays demonstrably true.
 
 use crate::e14::FORCE_LATENCY;
+use crate::json::Json;
+use crate::report::{best_of, find, Gate, Report};
 use crate::TABLE;
 use unbundled_core::{DcId, Key, TableSpec, TcId, TcShardMap};
 use unbundled_dc::DcConfig;
@@ -45,51 +46,22 @@ const SHARDS: u16 = 2;
 /// Every k-th transaction spans both shards (2PC).
 const CROSS_EVERY: u64 = 5;
 
-/// One per-stage histogram row.
-pub struct ObsRow {
-    /// Metric name in the merged registry snapshot.
-    pub metric: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Median, nanoseconds.
-    pub p50_ns: u64,
-    /// 95th percentile, nanoseconds.
-    pub p95_ns: u64,
-    /// 99th percentile, nanoseconds.
-    pub p99_ns: u64,
-    /// Maximum, nanoseconds.
-    pub max_ns: u64,
-}
-
-/// The stage-decomposition consistency gate.
-pub struct ObsGate {
-    /// What the gate checks.
-    pub name: String,
-    /// Measured relative error.
-    pub value: f64,
-    /// Maximum acceptable relative error.
-    pub threshold: f64,
-    /// Whether the gate held.
-    pub pass: bool,
-}
-
-/// The full `report obs` output.
-pub struct ObsReport {
-    /// `smoke` (CI) or `full`.
-    pub mode: String,
-    /// Commits measured (all threads).
-    pub commits: u64,
-    /// End-to-end commit p50, nanoseconds.
-    pub commit_p50_ns: u64,
-    /// Sum of the stage p50s, nanoseconds.
-    pub stage_sum_p50_ns: u64,
-    /// Per-stage histogram rows (stages first, then supporting
-    /// histograms from the storage/DC layers).
-    pub rows: Vec<ObsRow>,
-    /// The decomposition gate.
-    pub gates: Vec<ObsGate>,
-    /// A rendered span tree of one traced cross-TC commit.
-    pub tree: String,
+crate::row! {
+    /// One per-stage histogram row.
+    pub struct ObsRow {
+        /// Metric name in the merged registry snapshot.
+        pub metric: String,
+        /// Samples recorded.
+        pub count: u64,
+        /// Median, nanoseconds.
+        pub p50_ns: u64,
+        /// 95th percentile, nanoseconds.
+        pub p95_ns: u64,
+        /// 99th percentile, nanoseconds.
+        pub p99_ns: u64,
+        /// Maximum, nanoseconds.
+        pub max_ns: u64,
+    }
 }
 
 /// Two TC shards, each with its own DC and redo log over inline links,
@@ -270,46 +242,45 @@ fn row(snap: &obs::RegistrySnapshot, name: &str) -> ObsRow {
 
 /// Run the observability report. `smoke` shrinks the commit counts for
 /// CI; the 20% decomposition gate is identical in both modes.
-pub fn run_obs(smoke: bool) -> ObsReport {
+pub fn run_obs(smoke: bool) -> Report {
     let per_thread: u64 = if smoke { 150 } else { 600 };
     // Best of three by gate error: the decomposition identity holds
     // per commit, but a descheduled thread can widen one stage's p50
     // against the total's; one clean rep is what the gate is about.
     const REPS: usize = 3;
-    let mut best: Option<(f64, RunOutcome)> = None;
-    for _ in 0..REPS {
-        let out = run_once(per_thread);
-        let err = gate_error(&out.snap);
-        if best.as_ref().is_none_or(|(e, _)| err < *e) {
-            best = Some((err, out));
-        }
-    }
-    let (err, out) = best.expect("at least one rep");
+    let out = best_of(
+        REPS,
+        |o: &RunOutcome| -gate_error(&o.snap),
+        |_| run_once(per_thread),
+    );
+    println!("traced cross-TC commit:");
+    print!("{}", out.tree);
     let snap = &out.snap;
-    let commit_p50 = snap
-        .histogram("tc.commit_ns")
-        .expect("tc.commit_ns histogram")
-        .p50()
-        .as_nanos() as u64;
-    let stage_sum: u64 = STAGE_METRICS.iter().map(|m| row(snap, m).p50_ns).sum();
-    let mut rows: Vec<ObsRow> = STAGE_METRICS.iter().map(|m| row(snap, m)).collect();
-    rows.extend(EXTRA_METRICS.iter().map(|m| row(snap, m)));
-    let threshold = 0.20;
-    let gates = vec![ObsGate {
-        name: "stage p50 sum within 20% of end-to-end commit p50".into(),
-        value: err,
-        threshold,
-        pass: err <= threshold,
-    }];
-    ObsReport {
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        commits: out.commits,
-        commit_p50_ns: commit_p50,
-        stage_sum_p50_ns: stage_sum,
-        rows,
-        gates,
-        tree: out.tree,
-    }
+    let rows: Vec<ObsRow> = STAGE_METRICS
+        .iter()
+        .chain(&EXTRA_METRICS)
+        .map(|m| row(snap, m))
+        .collect();
+    let commit_p50 = find(&rows, "tc.commit_ns").p50_ns;
+    let stage_sum: u64 = STAGE_METRICS.iter().map(|m| find(&rows, m).p50_ns).sum();
+    let gates = vec![Gate::at_most(
+        "stage p50 sum within 20% of end-to-end commit p50",
+        gate_error(snap),
+        0.20,
+    )];
+    let params = vec![
+        (
+            "force_latency_us",
+            Json::from(FORCE_LATENCY.as_micros() as u64),
+        ),
+        ("shards", SHARDS.into()),
+        ("threads_per_shard", THREADS_PER_SHARD.into()),
+        ("cross_every", CROSS_EVERY.into()),
+        ("commits", out.commits.into()),
+        ("commit_p50_ns", commit_p50.into()),
+        ("stage_sum_p50_ns", stage_sum.into()),
+    ];
+    Report::new("obs_commit_breakdown", smoke, params, &rows, gates)
 }
 
 /// Relative error between the stage-p50 sum and the commit p50.
@@ -327,105 +298,4 @@ fn gate_error(snap: &obs::RegistrySnapshot) -> f64 {
         .map(|h| h.p50().as_nanos() as f64)
         .sum();
     (sum - commit).abs() / commit
-}
-
-impl ObsReport {
-    /// Print the human-readable breakdown.
-    pub fn print(&self) {
-        println!(
-            "obs_commit_breakdown ({} mode, force latency {:?}, {} shards × {} threads, cross 1-in-{})",
-            self.mode, FORCE_LATENCY, SHARDS, THREADS_PER_SHARD, CROSS_EVERY
-        );
-        println!(
-            "{:<34} {:>9} {:>11} {:>11} {:>11} {:>11}",
-            "metric", "count", "p50_us", "p95_us", "p99_us", "max_us"
-        );
-        let us = |ns: u64| ns as f64 / 1_000.0;
-        for r in &self.rows {
-            println!(
-                "{:<34} {:>9} {:>11.1} {:>11.1} {:>11.1} {:>11.1}",
-                r.metric,
-                r.count,
-                us(r.p50_ns),
-                us(r.p95_ns),
-                us(r.p99_ns),
-                us(r.max_ns)
-            );
-        }
-        println!(
-            "stage p50 sum {:.1} µs vs commit p50 {:.1} µs",
-            us(self.stage_sum_p50_ns),
-            us(self.commit_p50_ns)
-        );
-        for g in &self.gates {
-            println!(
-                "gate: {:<58} {:>8.3} (<= {:.2}) — {}",
-                g.name,
-                g.value,
-                g.threshold,
-                if g.pass { "OK" } else { "FAIL" }
-            );
-        }
-        println!("traced cross-TC commit:");
-        print!("{}", self.tree);
-    }
-
-    /// Panic if the decomposition gate failed (the CI bar).
-    pub fn assert_gates(&self) {
-        for g in &self.gates {
-            assert!(
-                g.pass,
-                "obs gate failed: {} — measured {:.3}, need <= {:.3}",
-                g.name, g.value, g.threshold
-            );
-        }
-    }
-
-    /// Serialize as JSON (no external dependencies; labels are ASCII).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.4}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"obs_commit_breakdown\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"commits\": {},\n", self.commits));
-        s.push_str(&format!("  \"commit_p50_ns\": {},\n", self.commit_p50_ns));
-        s.push_str(&format!(
-            "  \"stage_sum_p50_ns\": {},\n",
-            self.stage_sum_p50_ns
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"metric\": \"{}\", \"count\": {}, \"p50_ns\": {}, \
-                 \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}{}\n",
-                r.metric,
-                r.count,
-                r.p50_ns,
-                r.p95_ns,
-                r.p99_ns,
-                r.max_ns,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"threshold\": {}, \"pass\": {}}}{}\n",
-                g.name,
-                num(g.value),
-                num(g.threshold),
-                g.pass,
-                if i + 1 == self.gates.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
 }
