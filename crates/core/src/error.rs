@@ -36,9 +36,6 @@ pub enum DcError {
     DuplicateKey(TableId, Key),
     /// Update/delete of a key that does not exist.
     KeyNotFound(TableId, Key),
-    /// A versioned-table operation was sent to an unversioned table or
-    /// vice versa.
-    VersioningMismatch(TableId),
     /// The DC is restarting and cannot serve normal requests yet.
     Restarting,
     /// The DC refuses mutations: it is a read-only replica, or an old
@@ -54,7 +51,6 @@ impl fmt::Display for DcError {
             DcError::NoSuchTable(t) => write!(f, "no such table {t}"),
             DcError::DuplicateKey(t, k) => write!(f, "duplicate key {k} in {t}"),
             DcError::KeyNotFound(t, k) => write!(f, "key {k} not found in {t}"),
-            DcError::VersioningMismatch(t) => write!(f, "versioning mismatch on {t}"),
             DcError::Restarting => write!(f, "data component is restarting"),
             DcError::Fenced(d) => write!(f, "{d} is fenced: not the writable primary"),
             DcError::Corrupt(s) => write!(f, "corrupt state: {s}"),

@@ -379,27 +379,16 @@ pub struct TableSpec {
     pub id: crate::ids::TableId,
     /// Human-readable name.
     pub name: String,
-    /// Whether the table is shared across TCs read-committed (Section
-    /// 6.2.2): it takes only `VersionedWrite`/`RevertVersion` mutations.
-    pub versioned: bool,
 }
 
 impl TableSpec {
-    /// Convenience constructor for an unversioned table.
+    /// Convenience constructor. Every table stores the same
+    /// commit-LSN version chain, so plain and versioned mutations work
+    /// on any table.
     pub fn plain(id: crate::ids::TableId, name: &str) -> Self {
         TableSpec {
             id,
             name: name.to_string(),
-            versioned: false,
-        }
-    }
-
-    /// Convenience constructor for a versioned table.
-    pub fn versioned(id: crate::ids::TableId, name: &str) -> Self {
-        TableSpec {
-            id,
-            name: name.to_string(),
-            versioned: true,
         }
     }
 }

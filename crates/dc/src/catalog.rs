@@ -92,7 +92,6 @@ impl Catalog {
         for t in tables {
             e.u32(t.spec.id.0);
             e.bytes(t.spec.name.as_bytes());
-            e.bool(t.spec.versioned);
             e.u64(t.root.lock().0);
         }
         e.finish()
@@ -109,13 +108,8 @@ impl Catalog {
         for _ in 0..n {
             let id = TableId(d.u32()?);
             let name = String::from_utf8_lossy(d.bytes()?).into_owned();
-            let versioned = d.bool()?;
             let root = PageId(d.u64()?);
-            let spec = TableSpec {
-                id,
-                name,
-                versioned,
-            };
+            let spec = TableSpec { id, name };
             cat.insert(spec, root);
         }
         d.expect_end()?;
@@ -157,7 +151,7 @@ mod tests {
     fn encode_decode_roundtrip() {
         let cat = Catalog::new();
         cat.insert(TableSpec::plain(TableId(1), "users"), PageId(2));
-        cat.insert(TableSpec::versioned(TableId(2), "reviews"), PageId(3));
+        cat.insert(TableSpec::plain(TableId(2), "reviews"), PageId(3));
         *cat.dlsn.lock() = DLsn(17);
         let buf = cat.encode(42);
         let (back, next) = Catalog::decode(&buf).unwrap();
@@ -165,7 +159,6 @@ mod tests {
         assert_eq!(*back.dlsn.lock(), DLsn(17));
         assert_eq!(back.all().len(), 2);
         let t = back.get(TableId(2)).unwrap();
-        assert!(t.spec.versioned);
         assert_eq!(*t.root.lock(), PageId(3));
         assert_eq!(t.spec.name, "reviews");
     }

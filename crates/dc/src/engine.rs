@@ -575,28 +575,6 @@ impl DcEngine {
         }
     }
 
-    /// Enforce the versioning discipline for a table (strict: versioned
-    /// tables take only versioned mutations and vice versa). Validation
-    /// happens before latching so errors are cheap and deterministic.
-    pub fn validate_versioning(&self, op: &LogicalOp) -> Result<(), DcError> {
-        let table = self.table(op.table())?;
-        let versioned_op = matches!(
-            op,
-            LogicalOp::VersionedWrite { .. } | LogicalOp::RevertVersion { .. }
-        );
-        let plain_op = matches!(
-            op,
-            LogicalOp::Insert { .. } | LogicalOp::Update { .. } | LogicalOp::Delete { .. }
-        );
-        if versioned_op && !table.spec.versioned {
-            return Err(DcError::VersioningMismatch(op.table()));
-        }
-        if plain_op && table.spec.versioned {
-            return Err(DcError::VersioningMismatch(op.table()));
-        }
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Reads
     // ------------------------------------------------------------------

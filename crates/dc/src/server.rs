@@ -200,11 +200,7 @@ impl DcServer {
                     continue;
                 }
                 for (lsn, op) in records {
-                    let result = self
-                        .engine
-                        .validate_versioning(&op)
-                        .and_then(|()| self.engine.perform(tc, RequestId::Op(lsn), &op));
-                    match result {
+                    match self.engine.perform(tc, RequestId::Op(lsn), &op) {
                         Ok(_) => DcStats::bump(&stats.ship_records_applied),
                         // Deterministic logical errors are expected from
                         // compensations whose originals were never
@@ -278,9 +274,7 @@ impl DcServer {
             return Err(DcError::Fenced(self.dc_id()));
         }
         let _gate = self.read_gate();
-        self.engine
-            .validate_versioning(op)
-            .and_then(|()| self.engine.perform(tc, req, op))
+        self.engine.perform(tc, req, op)
     }
 }
 
@@ -771,29 +765,5 @@ mod tests {
         }
         assert_eq!(s2.replica_frontier().unwrap().0, Lsn(10));
         assert_eq!(s2.engine().dump_table(TableId(1)).unwrap().len(), 10);
-    }
-
-    #[test]
-    fn versioning_mismatch_rejected() {
-        let s = setup();
-        let r = perform(
-            &s,
-            TcId(1),
-            RequestId::Op(Lsn(1)),
-            LogicalOp::VersionedWrite {
-                table: TableId(1),
-                key: Key::from_u64(1),
-                value: b"v".to_vec(),
-            },
-        );
-        match r {
-            DcToTc::Reply { result, .. } => {
-                assert!(matches!(
-                    result,
-                    Err(unbundled_core::DcError::VersioningMismatch(_))
-                ))
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

@@ -725,7 +725,7 @@ fn versioned_table_lifecycle() {
     let fx = Fixture::new(DcConfig::default());
     let vt = TableId(9);
     fx.engine
-        .create_table(TableSpec::versioned(vt, "reviews"))
+        .create_table(TableSpec::plain(vt, "reviews"))
         .unwrap();
     let owner = TcId(1);
     let reader = TcId(2);

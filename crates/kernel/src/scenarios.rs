@@ -78,8 +78,8 @@ impl MovieSite {
         // Versioned where TCs share data (read-committed without 2PC);
         // plain where a single TC owns every row.
         for dc in [DC_MOVIES_LOW, DC_MOVIES_HIGH] {
-            d.create_table(dc, TableSpec::versioned(MOVIES, "movies"));
-            d.create_table(dc, TableSpec::versioned(REVIEWS, "reviews"));
+            d.create_table(dc, TableSpec::plain(MOVIES, "movies"));
+            d.create_table(dc, TableSpec::plain(REVIEWS, "reviews"));
         }
         d.create_table(DC_USERS, TableSpec::plain(USERS, "users"));
         d.create_table(DC_USERS, TableSpec::plain(MYREVIEWS, "myreviews"));

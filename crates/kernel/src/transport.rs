@@ -27,25 +27,33 @@ use unbundled_core::{DataComponentApi, DcError, DcId, DcToTc, OpResult, RequestI
 use unbundled_tc::{DcLink, Tc};
 
 /// Reply sink: delivers DC→TC messages to the owning TC.
-/// A small indirection so a rebooted TC can be re-wired.
+/// A small indirection so a rebooted TC can be re-wired. It holds the TC
+/// weakly: the TC owns its links, which own the sink, so a strong
+/// reference would keep a dropped deployment alive.
 pub struct ReplySink {
-    tc: Mutex<Arc<Tc>>,
+    tc: Mutex<Weak<Tc>>,
 }
 
 impl ReplySink {
     /// Sink delivering to `tc`.
     pub fn new(tc: Arc<Tc>) -> Arc<Self> {
-        Arc::new(ReplySink { tc: Mutex::new(tc) })
+        Arc::new(ReplySink {
+            tc: Mutex::new(Arc::downgrade(&tc)),
+        })
     }
 
     /// Re-point the sink (after a TC reboot).
     pub fn rebind(&self, tc: Arc<Tc>) {
-        *self.tc.lock() = tc;
+        *self.tc.lock() = Arc::downgrade(&tc);
     }
 
     fn deliver(&self, msg: unbundled_core::DcToTc) {
-        let tc = self.tc.lock().clone();
-        tc.deliver(msg);
+        let tc = self.tc.lock().upgrade();
+        // A TC that is gone drops the message: the resend contract
+        // already covers a lost reply.
+        if let Some(tc) = tc {
+            tc.deliver(msg);
+        }
     }
 }
 
@@ -502,14 +510,20 @@ impl QueuedLink {
         self.reply_batch.store(n.max(1), Ordering::Relaxed);
     }
 
-    /// Stop the workers (drains the queue first).
+    /// Stop the workers (drains the queue first). A worker delivering a
+    /// reply can hold the last reference to its TC, and so drop the TC
+    /// and this link on its own thread: that worker is not joined — it
+    /// takes its stop message and exits by itself.
     pub fn shutdown(&self) {
         let n = self.workers.lock().len();
         for _ in 0..n {
             let _ = self.tx.send(QueuedMsg::Stop);
         }
+        let me = std::thread::current().id();
         for h in self.workers.lock().drain(..) {
-            let _ = h.join();
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }

@@ -51,10 +51,15 @@ impl AckTracker {
 
     /// Note a whole batch of acknowledgements (a [`ReplyBatch`] arrived):
     /// one lock acquisition — and therefore one low-water-mark frontier
-    /// advance — per batch instead of per ack.
+    /// advance — per batch instead of per ack, and none for a batch that
+    /// acks no operation (read replies).
     ///
     /// [`ReplyBatch`]: unbundled_core::DcToTc::ReplyBatch
     pub fn acked_many(&self, lsns: impl IntoIterator<Item = Lsn>) {
+        let mut lsns = lsns.into_iter().peekable();
+        if lsns.peek().is_none() {
+            return;
+        }
         let mut g = self.inner.lock();
         for lsn in lsns {
             g.outstanding.remove(&lsn.0);

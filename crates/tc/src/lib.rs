@@ -21,6 +21,10 @@
 //! * [`tc`] — the transaction API: begin/read/scan/insert/update/delete/
 //!   versioned-write/commit/abort, plus lock-free committed and dirty
 //!   reads for cross-TC sharing (Section 6.2).
+//! * `session` — the TC's conversation with its DCs (Section 4.2): the
+//!   route/link/alias directory, request ids with resend until acked,
+//!   the ack frontier, the recovery gate, and the checkpoint, restart
+//!   and replication-ack exchanges, all waiting on one reply-slot type.
 //! * [`recovery`] — TC restart and DC-crash recovery.
 //! * [`shipper`] — logical log shipping to read-only DC replicas:
 //!   committed-redo stream extraction, per-replica cursors with
@@ -39,6 +43,7 @@ pub mod acks;
 pub mod rebalance;
 pub mod recovery;
 pub mod routing;
+mod session;
 pub mod shipper;
 pub mod stats;
 pub mod tc;

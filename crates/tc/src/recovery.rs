@@ -16,15 +16,12 @@
 //! Active transactions keep running afterwards; nothing is rolled back.
 
 use crate::stats::TcStats;
-use crate::tc::{FlagSlot, Tc};
+use crate::tc::Tc;
 use crate::tclog::TcLogRecord;
 use crate::twopc::TwopcOutcome;
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Duration;
-use unbundled_core::{DcId, Key, LogicalOp, Lsn, RequestId, TableId, TcError, TcId, TcToDc, TxnId};
+use unbundled_core::{DcId, Key, LogicalOp, Lsn, TableId, TcError, TcId, TxnId};
 
 impl Tc {
     /// Full TC restart from the stable log. Call after `register_dc` /
@@ -78,8 +75,8 @@ impl Tc {
                     // history below the floor is never replayed to it
                     // (its replica-era state has abLSN holes at
                     // rolled-back operations).
-                    self.install_promotion(*old, *new);
-                    self.raise_redo_floor(*new, *floor);
+                    self.session.repoint(*old, *new, None);
+                    self.session.raise_redo_floor(*new, *floor);
                     promote_intents.retain(|(o, n)| !(o == old && n == new));
                 }
                 TcLogRecord::PromoteIntent { old, new } => {
@@ -164,8 +161,8 @@ impl Tc {
                 }
             }
         }
-        self.set_next_txn_floor(max_txn + 1);
-        self.acks.reset(stable_end);
+        self.bump_txn_counter_to(max_txn + 1);
+        self.session.acks.reset(stable_end);
         self.rssp.store(rssp.0.max(1), Ordering::Relaxed);
 
         // --- Elastic rebalance: a RebalanceDone whose epoch is above
@@ -229,9 +226,9 @@ impl Tc {
         }
 
         // --- Restart conversation, half one: reset.
-        let dcs: Vec<DcId> = self.links.read().keys().copied().collect();
+        let dcs = self.session.dcs();
         for &dc in &dcs {
-            self.begin_restart_with(dc, stable_end)?;
+            self.session.restart(dc, Some(stable_end))?;
         }
 
         // --- Redo: repeat history logically from the RSSP. A promoted
@@ -243,16 +240,14 @@ impl Tc {
             }
             match rec {
                 TcLogRecord::Op { dc, op, .. } | TcLogRecord::RedoOnly { dc, op, .. } => {
-                    let target = self.resolve_dc(*dc);
-                    if let Some(floor) = self.redo_floor(target) {
+                    let target = self.session.resolve_dc(*dc);
+                    if let Some(floor) = self.session.redo_floor(target) {
                         if Lsn(*seq) < floor {
                             continue;
                         }
                     }
                     TcStats::bump(&self.stats().redo_resends);
-                    // Deterministic logical errors (e.g. a replayed insert
-                    // that originally failed) are part of history: ignore.
-                    let _ = self.send_op(*dc, RequestId::Op(Lsn(*seq)), op, true)?;
+                    self.session.redo(*dc, Lsn(*seq), op)?;
                 }
                 _ => {}
             }
@@ -279,7 +274,7 @@ impl Tc {
                 dc,
                 op: op.clone(),
             });
-            let _ = self.send_op(dc, RequestId::Op(l), &op, true)?;
+            self.session.redo(dc, l, &op)?;
         }
 
         // --- Undo losers: inverse operations in reverse LSN order.
@@ -297,7 +292,7 @@ impl Tc {
                 op: inv.clone(),
             });
             TcStats::bump(&self.stats().undo_ops);
-            let _ = self.send_op(dc, RequestId::Op(l), &inv, true)?;
+            self.session.redo(dc, l, &inv)?;
         }
         for txn in losers.keys() {
             // A prepared branch resolves with the participant-side 2PC
@@ -323,7 +318,7 @@ impl Tc {
                     dc: *dc,
                     op: op.clone(),
                 });
-                let _ = self.send_op(*dc, RequestId::Op(l), &op, true)?;
+                self.session.redo(*dc, l, &op)?;
             }
         }
         self.force_log();
@@ -337,7 +332,7 @@ impl Tc {
 
         // --- Restart conversation, half two: done; resume.
         for &dc in &dcs {
-            self.end_restart_with(dc)?;
+            self.session.restart(dc, None)?;
         }
         self.set_available(true);
         self.force_and_publish();
@@ -376,9 +371,9 @@ impl Tc {
     /// healthy; its full log — including the unforced tail — is intact).
     pub fn recover_dc(&self, dc: DcId) -> Result<(), TcError> {
         TcStats::bump(&self.stats().dc_recoveries);
-        self.gate(dc);
+        self.session.gate(dc);
         let result = self.recover_dc_inner(dc);
-        self.ungate(dc);
+        self.session.ungate(dc);
         result
     }
 
@@ -386,12 +381,17 @@ impl Tc {
         // The DC rebooted from stable state: nothing of ours is cached,
         // so the reset half is trivial — but the conversation is the
         // same, and the DC replies once its structures are well-formed.
-        self.begin_restart_with(dc, self.log.stable())?;
+        self.session.restart(dc, Some(self.log.stable()))?;
         let rssp = self.rssp().0;
-        let target = self.resolve_dc(dc);
+        let target = self.session.resolve_dc(dc);
         // A promoted DC's redo floor: below it the flushed state made
         // stable at promotion is the authority — never replay raw.
-        let floor = self.redo_floor(target).unwrap_or(Lsn(0)).0.max(rssp);
+        let floor = self
+            .session
+            .redo_floor(target)
+            .unwrap_or(Lsn(0))
+            .0
+            .max(rssp);
         for (seq, rec) in self.log.store().read_all_volatile() {
             if seq < floor {
                 continue;
@@ -400,59 +400,17 @@ impl Tc {
                 // Lineage-aware: records logged against an id this DC
                 // was promoted over belong to it too.
                 TcLogRecord::Op { dc: d, op, .. } | TcLogRecord::RedoOnly { dc: d, op, .. }
-                    if self.resolve_dc(d) == target =>
+                    if self.session.resolve_dc(d) == target =>
                 {
                     TcStats::bump(&self.stats().redo_resends);
-                    let _ = self.send_op(dc, RequestId::Op(Lsn(seq)), &op, true)?;
+                    self.session.redo(dc, Lsn(seq), &op)?;
                 }
                 _ => {}
             }
         }
-        self.end_restart_with(dc)?;
+        self.session.restart(dc, None)?;
         self.force_and_publish();
         Ok(())
-    }
-
-    pub(crate) fn begin_restart_with(&self, dc: DcId, stable_end: Lsn) -> Result<(), TcError> {
-        let slot = Arc::new(FlagSlot {
-            val: Mutex::new(false),
-            cv: Condvar::new(),
-        });
-        self.restart_ready.lock().insert(dc, slot.clone());
-        self.link(dc)?.send(TcToDc::RestartBegin {
-            tc: self.id(),
-            stable_end,
-        });
-        Self::await_flag(&slot);
-        self.restart_ready.lock().remove(&dc);
-        Ok(())
-    }
-
-    pub(crate) fn end_restart_with(&self, dc: DcId) -> Result<(), TcError> {
-        let slot = Arc::new(FlagSlot {
-            val: Mutex::new(false),
-            cv: Condvar::new(),
-        });
-        self.restart_done.lock().insert(dc, slot.clone());
-        self.link(dc)?.send(TcToDc::RestartEnd { tc: self.id() });
-        Self::await_flag(&slot);
-        self.restart_done.lock().remove(&dc);
-        Ok(())
-    }
-
-    fn await_flag(slot: &Arc<FlagSlot>) {
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut v = slot.val.lock();
-        while !*v {
-            if slot.cv.wait_until(&mut v, deadline).timed_out() {
-                break;
-            }
-        }
-    }
-
-    pub(crate) fn set_next_txn_floor(&self, floor: u64) {
-        // next_txn is private to tc.rs; route through a dedicated setter.
-        self.bump_txn_counter_to(floor);
     }
 
     /// Drop all volatile transaction state (crash simulation helper used
@@ -463,7 +421,7 @@ impl Tc {
         // unavailability, not sleep out their timeout against a dead TC.
         self.abandon_fence();
         self.txns.lock().clear();
-        self.pending.lock().clear();
+        self.session.forget_replies();
         self.participants.lock().clear();
         self.pending_decisions.lock().clear();
         self.log.store().crash();

@@ -9,8 +9,8 @@
 //!
 //! The TC knows tables, keys and key ranges — never pages.
 
-use crate::acks::AckTracker;
 use crate::routing::{DcLink, ScanProtocol, TableRoute};
+use crate::session::{Control, DcSession, Path};
 use crate::shipper::{ReplicaLag, Shipper};
 use crate::stats::TcStats;
 use crate::tclog::{TcLogHandle, TcLogRecord};
@@ -19,9 +19,9 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use unbundled_core::{
-    DcError, DcId, DcToTc, Key, LogicalOp, Lsn, OpResult, ReadConsistency, ReadFlavor, RequestId,
+    DcId, DcToTc, Key, LogicalOp, Lsn, OpResult, ReadConsistency, ReadFlavor, RequestId,
     SnapshotSpec, TableId, TcError, TcId, TcShardMap, TcToDc, TxnId,
 };
 use unbundled_lockmgr::{LockError, LockManager, LockMode, LockName, LockToken};
@@ -89,21 +89,6 @@ impl Default for TcConfig {
     }
 }
 
-pub(crate) struct ReplySlot {
-    pub(crate) val: Mutex<Option<Result<OpResult, DcError>>>,
-    pub(crate) cv: Condvar,
-}
-
-pub(crate) struct LsnSlot {
-    pub(crate) val: Mutex<Option<Lsn>>,
-    pub(crate) cv: Condvar,
-}
-
-pub(crate) struct FlagSlot {
-    pub(crate) val: Mutex<bool>,
-    pub(crate) cv: Condvar,
-}
-
 /// Per-transaction state.
 pub(crate) struct TxnState {
     pub(crate) id: TxnId,
@@ -155,20 +140,14 @@ pub struct Tc {
     pub cfg: TcConfig,
     pub(crate) log: TcLogHandle,
     pub(crate) locks: Arc<LockManager>,
-    pub(crate) links: RwLock<HashMap<DcId, Arc<dyn DcLink>>>,
-    routes: RwLock<HashMap<TableId, TableRoute>>,
+    /// The conversation with the DCs: routes, links, resend, acks,
+    /// gating and the control exchanges.
+    pub(crate) session: DcSession,
     pub(crate) txns: Mutex<HashMap<TxnId, Arc<Mutex<TxnState>>>>,
     /// Open pinned-snapshot positions (LSN -> pin count). The minimum
     /// clamps the published low-water mark so DC-side version-chain GC
     /// never prunes history an open snapshot still needs.
     snapshot_pins: Mutex<BTreeMap<u64, usize>>,
-    pub(crate) pending: Mutex<HashMap<RequestId, Arc<ReplySlot>>>,
-    pub(crate) ckpt_waiters: Mutex<HashMap<DcId, Arc<LsnSlot>>>,
-    pub(crate) restart_ready: Mutex<HashMap<DcId, Arc<FlagSlot>>>,
-    pub(crate) restart_done: Mutex<HashMap<DcId, Arc<FlagSlot>>>,
-    /// Out-of-band crash prompts received (kernel drains these).
-    crashed_prompts: Mutex<Vec<DcId>>,
-    pub(crate) acks: AckTracker,
     /// Serializes LSN allocation with ack-tracker registration: the
     /// low-water mark must never be computed between an append (which
     /// fixes the LSN order) and the `sent`/`bookkeeping` registration of
@@ -182,24 +161,10 @@ pub struct Tc {
     /// broadcast keeps publications monotone per DC.
     published: Mutex<Lsn>,
     next_txn: AtomicU64,
-    next_read: AtomicU64,
     pub(crate) rssp: AtomicU64,
     appends_since_force: AtomicU64,
-    /// DCs currently being recovered: normal sends wait.
-    gated: Mutex<HashSet<DcId>>,
-    gate_cv: Condvar,
     /// Replication: committed-redo shipping to read-only DC replicas.
     pub(crate) shipper: Shipper,
-    /// Failover aliases: a deposed primary's id resolves to the DC that
-    /// was promoted in its place, so log records (and straggler sends)
-    /// addressed to the old id reach the new primary.
-    aliases: RwLock<HashMap<DcId, DcId>>,
-    /// Per-DC redo floors from failover promotions: records below the
-    /// floor are stable at the promoted DC and must never be replayed
-    /// to it (its replica-era state has abLSN holes at rolled-back
-    /// operations; raw replay below the floor would re-execute them
-    /// against newer state).
-    redo_floors: RwLock<HashMap<DcId, Lsn>>,
     /// Round-robin ticket for replica read load-balancing.
     replica_rr: AtomicU64,
     available: AtomicBool,
@@ -227,7 +192,7 @@ pub struct Tc {
     /// epoch)`. The kernel reads this after recovery and finishes the
     /// republish.
     pub(crate) recovered_rebalance: Mutex<Option<(u64, u64, TcId, u64)>>,
-    stats: TcStats,
+    stats: Arc<TcStats>,
 }
 
 impl Tc {
@@ -235,32 +200,21 @@ impl Tc {
     /// rebooted TC, call [`Tc::run_recovery`] after registering DCs and
     /// tables.
     pub fn new(id: TcId, cfg: TcConfig, log: Arc<LogStore<TcLogRecord>>) -> Arc<Tc> {
+        let stats = Arc::new(TcStats::default());
         Arc::new(Tc {
             id,
+            session: DcSession::new(id, &cfg, stats.clone()),
             cfg,
             log: TcLogHandle::new(log),
             locks: Arc::new(LockManager::new()),
-            links: RwLock::new(HashMap::new()),
-            routes: RwLock::new(HashMap::new()),
             txns: Mutex::new(HashMap::new()),
             snapshot_pins: Mutex::new(BTreeMap::new()),
-            pending: Mutex::new(HashMap::new()),
-            ckpt_waiters: Mutex::new(HashMap::new()),
-            restart_ready: Mutex::new(HashMap::new()),
-            restart_done: Mutex::new(HashMap::new()),
-            crashed_prompts: Mutex::new(Vec::new()),
-            acks: AckTracker::new(),
             alloc: Mutex::new(()),
             published: Mutex::new(Lsn(0)),
             next_txn: AtomicU64::new(1),
-            next_read: AtomicU64::new(1),
             rssp: AtomicU64::new(1),
             appends_since_force: AtomicU64::new(0),
-            gated: Mutex::new(HashSet::new()),
-            gate_cv: Condvar::new(),
             shipper: Shipper::new(),
-            aliases: RwLock::new(HashMap::new()),
-            redo_floors: RwLock::new(HashMap::new()),
             replica_rr: AtomicU64::new(0),
             available: AtomicBool::new(true),
             shard_map: RwLock::new(None),
@@ -270,7 +224,7 @@ impl Tc {
             rebalance_fence: Mutex::new(None),
             fence_cv: Condvar::new(),
             recovered_rebalance: Mutex::new(None),
-            stats: TcStats::default(),
+            stats,
         })
     }
 
@@ -298,19 +252,19 @@ impl Tc {
     /// been replied to (experiment/test introspection — this is the
     /// frontier [`TcToDc::LowWaterMark`] publications are derived from).
     pub fn lwm(&self) -> Lsn {
-        self.acks.lwm()
+        self.session.acks.lwm()
     }
 
     /// Operations sent but not yet acknowledged (experiment/test
     /// introspection). A lost reply — or a lost reply *batch* — shows up
     /// here until the resend machinery recovers the acks.
     pub fn outstanding_ops(&self) -> usize {
-        self.acks.outstanding()
+        self.session.acks.outstanding()
     }
 
     /// Wire a DC.
     pub fn register_dc(&self, dc: DcId, link: Arc<dyn DcLink>) {
-        self.links.write().insert(dc, link);
+        self.session.register_dc(dc, link);
     }
 
     /// Re-install a past failover alias on a rebuilt TC (deployment
@@ -319,8 +273,7 @@ impl Tc {
     /// log analysis re-derives the same aliases (plus redo floors) from
     /// [`TcLogRecord::Promote`] records.
     pub fn install_promotion(&self, old: DcId, new: DcId) {
-        self.aliases.write().insert(old, new);
-        self.links.write().remove(&old);
+        self.session.repoint(old, new, None);
     }
 
     /// Failover aliases currently installed (deposed id → promoted id).
@@ -328,55 +281,18 @@ impl Tc {
     /// failover records to detect promotions recovery re-drove from a
     /// [`TcLogRecord::PromoteIntent`].
     pub fn aliases(&self) -> Vec<(DcId, DcId)> {
-        self.aliases.read().iter().map(|(o, n)| (*o, *n)).collect()
-    }
-
-    /// The promotion redo floor for `dc`, if one exists: recovery never
-    /// replays records below it to that DC.
-    pub(crate) fn redo_floor(&self, dc: DcId) -> Option<Lsn> {
-        self.redo_floors.read().get(&dc).copied()
-    }
-
-    pub(crate) fn raise_redo_floor(&self, dc: DcId, floor: Lsn) {
-        let mut g = self.redo_floors.write();
-        let e = g.entry(dc).or_insert(Lsn(0));
-        *e = (*e).max(floor);
+        self.session.aliases()
     }
 
     /// Declare where a table lives.
     pub fn register_table(&self, table: TableId, route: TableRoute) {
-        self.routes.write().insert(table, route);
-    }
-
-    pub(crate) fn route(&self, table: TableId) -> Result<TableRoute, TcError> {
-        self.routes
-            .read()
-            .get(&table)
-            .cloned()
-            .ok_or(TcError::NoSuchDc(DcId(u16::MAX)))
+        self.session.register_table(table, route);
     }
 
     /// Resolve a (possibly deposed) DC id through the failover alias
     /// chain to the id currently serving its partition.
     pub fn resolve_dc(&self, dc: DcId) -> DcId {
-        let aliases = self.aliases.read();
-        let mut cur = dc;
-        for _ in 0..=aliases.len() {
-            match aliases.get(&cur) {
-                Some(next) => cur = *next,
-                None => break,
-            }
-        }
-        cur
-    }
-
-    pub(crate) fn link(&self, dc: DcId) -> Result<Arc<dyn DcLink>, TcError> {
-        let resolved = self.resolve_dc(dc);
-        self.links
-            .read()
-            .get(&resolved)
-            .cloned()
-            .ok_or(TcError::NoSuchDc(dc))
+        self.session.resolve_dc(dc)
     }
 
     pub(crate) fn ensure_available(&self) -> Result<(), TcError> {
@@ -397,207 +313,22 @@ impl Tc {
 
     /// Deliver one DC→TC message.
     pub fn deliver(&self, msg: DcToTc) {
-        match msg {
-            DcToTc::Reply { req, result, .. } => {
-                // Commit-path acks only (see the DC apply span): body
-                // operations' replies are not part of the commit tree.
-                let _s = obs::stage::in_commit_scope().then(|| obs::span("tc.ack"));
-                if let Some(lsn) = req.lsn() {
-                    self.acks.acked(lsn);
-                }
-                self.fulfill(req, result);
-            }
-            DcToTc::ReplyBatch { replies, .. } => {
-                // Unpack a coalesced ack batch: the ack frontier (and so
-                // the low-water mark) advances once for the whole batch,
-                // and the pending-slot map is consulted once per batch
-                // instead of once per reply.
-                TcStats::bump(&self.stats.reply_batches);
-                self.acks
-                    .acked_many(replies.iter().filter_map(|(req, _)| req.lsn()));
-                let slots: Vec<_> = {
-                    let pending = self.pending.lock();
-                    replies
-                        .into_iter()
-                        .map(|(req, result)| (pending.get(&req).cloned(), result))
-                        .collect()
-                };
-                for (slot, result) in slots {
-                    match slot {
-                        Some(slot) => {
-                            let mut v = slot.val.lock();
-                            if v.is_none() {
-                                *v = Some(result);
-                                slot.cv.notify_all();
-                            } else {
-                                TcStats::bump(&self.stats.stale_replies);
-                            }
-                        }
-                        None => TcStats::bump(&self.stats.stale_replies),
-                    }
-                }
-            }
-            DcToTc::CheckpointDone { dc, rssp, .. } => {
-                if let Some(slot) = self.ckpt_waiters.lock().get(&dc).cloned() {
-                    *slot.val.lock() = Some(rssp);
-                    slot.cv.notify_all();
-                }
-            }
-            DcToTc::RsspHint { .. } => {
-                // Advisory only; a checkpoint will pick it up.
-            }
-            DcToTc::Crashed { dc } => {
-                self.crashed_prompts.lock().push(dc);
-            }
-            DcToTc::RestartReady { dc, .. } => {
-                if let Some(slot) = self.restart_ready.lock().get(&dc).cloned() {
-                    *slot.val.lock() = true;
-                    slot.cv.notify_all();
-                }
-            }
-            DcToTc::RestartDone { dc, .. } => {
-                if let Some(slot) = self.restart_done.lock().get(&dc).cloned() {
-                    *slot.val.lock() = true;
-                    slot.cv.notify_all();
-                }
-            }
-            DcToTc::ShipAck {
-                dc,
-                applied,
-                durable,
-                ..
-            } => {
-                self.shipper.on_ack(dc, applied, durable);
-            }
+        if let DcToTc::ShipAck {
+            dc,
+            applied,
+            durable,
+            ..
+        } = msg
+        {
+            self.shipper.on_ack(dc, applied, durable);
         }
-    }
-
-    /// Hand a reply's outcome to whoever is waiting on `req`.
-    fn fulfill(&self, req: RequestId, result: Result<OpResult, DcError>) {
-        let slot = self.pending.lock().get(&req).cloned();
-        match slot {
-            Some(slot) => {
-                let mut v = slot.val.lock();
-                if v.is_none() {
-                    *v = Some(result);
-                    slot.cv.notify_all();
-                } else {
-                    TcStats::bump(&self.stats.stale_replies);
-                }
-            }
-            None => TcStats::bump(&self.stats.stale_replies),
-        }
+        self.session.deliver(msg);
     }
 
     /// Drain crash prompts (the kernel reacts by driving
     /// [`Tc::recover_dc`] once the DC has rebooted).
     pub fn take_crash_prompts(&self) -> Vec<DcId> {
-        std::mem::take(&mut *self.crashed_prompts.lock())
-    }
-
-    // ------------------------------------------------------------------
-    // Sending with resend/ack (the interaction contract)
-    // ------------------------------------------------------------------
-
-    fn gate_wait(&self, dc: DcId) {
-        let mut g = self.gated.lock();
-        while g.contains(&dc) {
-            self.gate_cv.wait(&mut g);
-        }
-    }
-
-    pub(crate) fn gate(&self, dc: DcId) {
-        self.gated.lock().insert(dc);
-    }
-
-    pub(crate) fn ungate(&self, dc: DcId) {
-        self.gated.lock().remove(&dc);
-        self.gate_cv.notify_all();
-    }
-
-    fn slot_for(&self, req: RequestId) -> Arc<ReplySlot> {
-        self.pending
-            .lock()
-            .entry(req)
-            .or_insert_with(|| {
-                Arc::new(ReplySlot {
-                    val: Mutex::new(None),
-                    cv: Condvar::new(),
-                })
-            })
-            .clone()
-    }
-
-    fn drop_slot(&self, req: RequestId, slot: &Arc<ReplySlot>) {
-        let mut p = self.pending.lock();
-        if let Some(cur) = p.get(&req) {
-            if Arc::ptr_eq(cur, slot) {
-                p.remove(&req);
-            }
-        }
-    }
-
-    /// Send an operation and wait for its reply, resending on timeout
-    /// (exactly-once overall thanks to DC idempotence). `bypass_gate` is
-    /// used by recovery, which must talk to a gated DC.
-    pub(crate) fn send_op(
-        &self,
-        dc: DcId,
-        req: RequestId,
-        op: &LogicalOp,
-        bypass_gate: bool,
-    ) -> Result<Result<OpResult, DcError>, TcError> {
-        let slot = self.slot_for(req);
-        let mut attempts: u32 = 0;
-        loop {
-            if !bypass_gate {
-                self.gate_wait(dc);
-            }
-            // Re-resolve the link on every attempt: a failover promotion
-            // mid-resend re-points the deposed primary's id at the
-            // promoted replica, and in-flight operations must follow.
-            let link = self.link(dc)?;
-            link.send(TcToDc::Perform {
-                tc: self.id,
-                req,
-                op: op.clone(),
-            });
-            if attempts == 0 {
-                if req.lsn().is_some() {
-                    TcStats::bump(&self.stats.ops_sent);
-                } else {
-                    TcStats::bump(&self.stats.reads_sent);
-                }
-            } else {
-                TcStats::bump(&self.stats.resends);
-            }
-            let deadline = std::time::Instant::now() + self.cfg.resend_interval;
-            let mut v = slot.val.lock();
-            while v.is_none() {
-                if slot.cv.wait_until(&mut v, deadline).timed_out() {
-                    break;
-                }
-            }
-            if let Some(result) = v.take() {
-                drop(v);
-                self.drop_slot(req, &slot);
-                return Ok(result);
-            }
-            drop(v);
-            attempts += 1;
-            if attempts > self.cfg.max_resends {
-                self.drop_slot(req, &slot);
-                return Err(TcError::DcUnreachable(dc));
-            }
-        }
-    }
-
-    /// Broadcast a control message to every registered DC.
-    pub(crate) fn broadcast(&self, make: impl Fn(TcId) -> TcToDc) {
-        let links = self.links.read();
-        for link in links.values() {
-            link.send(make(self.id));
-        }
+        self.session.take_crash_prompts()
     }
 
     /// Force everything appended so far. With group commit on, even
@@ -656,15 +387,17 @@ impl Tc {
     fn publish_locked(&self, published: &mut Lsn, eosl: Lsn) {
         let eosl = (*published).max(eosl);
         *published = eosl;
-        let mut lwm = self.acks.lwm().min(eosl);
+        let mut lwm = self.session.acks.lwm().min(eosl);
         // Hold the GC floor at the oldest open pinned snapshot: version
         // chains at or above the published LWM are exact, so a pin must
         // never sink below it.
         if let Some(oldest) = self.snapshot_pins.lock().keys().next() {
             lwm = lwm.min(Lsn(*oldest));
         }
-        self.broadcast(|tc| TcToDc::EndOfStableLog { tc, eosl });
-        self.broadcast(|tc| TcToDc::LowWaterMark { tc, lwm });
+        self.session
+            .broadcast(TcToDc::EndOfStableLog { tc: self.id, eosl });
+        self.session
+            .broadcast(TcToDc::LowWaterMark { tc: self.id, lwm });
         self.appends_since_force.store(0, Ordering::Relaxed);
     }
 
@@ -758,8 +491,8 @@ impl Tc {
     /// Send one unlogged request (read, scan or probe) to `dc` and wait
     /// for its result; a DC-side failure is reported against `txn`.
     fn ask(&self, txn: TxnId, dc: DcId, op: &LogicalOp) -> Result<(RequestId, OpResult), TcError> {
-        let req = RequestId::Read(self.next_read.fetch_add(1, Ordering::Relaxed));
-        match self.send_op(dc, req, op, false)? {
+        let req = self.session.next_read();
+        match self.session.send_op(dc, req, op, Path::Gated)? {
             Ok(result) => Ok((req, result)),
             Err(e) => Err(TcError::OperationFailed(txn, e)),
         }
@@ -861,7 +594,7 @@ impl Tc {
         // sketch the rebalance policy splits by. Traffic-weighted on
         // purpose — every executed mutation is one sample.
         self.stats.keys.record(point);
-        let dc = self.route(table)?.dc_for(&key);
+        let dc = self.session.route(table)?.dc_for(&key);
 
         // --- Locking, always before the LSN is drawn (OPSR).
         self.lock_or_abort(txn, LockName::Table(table), LockMode::IX)?;
@@ -910,7 +643,10 @@ impl Tc {
             undo: undo.clone(),
         });
         self.maybe_background_force();
-        match self.send_op(dc, RequestId::Op(lsn), &op, false)? {
+        match self
+            .session
+            .send_op(dc, RequestId::Op(lsn), &op, Path::Gated)?
+        {
             Ok(_) => {
                 let mut g = st.lock();
                 if let Some(inv) = undo {
@@ -964,9 +700,9 @@ impl Tc {
         self.mutate(txn, LogicalOp::Delete { table, key })
     }
 
-    /// Versioned insert-or-update on a versioned table (cross-TC
-    /// read-committed sharing, Section 6.2.2). Stamped on commit,
-    /// reverted on abort.
+    /// Versioned insert-or-update (cross-TC read-committed sharing,
+    /// Section 6.2.2). Stamped on commit, reverted on abort by
+    /// [`LogicalOp::RevertVersion`], which needs no before-image.
     pub fn versioned_write(
         &self,
         txn: TxnId,
@@ -1048,7 +784,7 @@ impl Tc {
                 break;
             }
         }
-        let dc = self.route(table)?.dc_for(&key);
+        let dc = self.session.route(table)?.dc_for(&key);
         self.lock_or_abort(txn, LockName::Table(table), LockMode::IS)?;
         self.lock_or_abort(txn, LockName::Record(table, key.clone()), LockMode::S)?;
         TcStats::bump(&self.stats.lock_reads);
@@ -1106,7 +842,7 @@ impl Tc {
         flavor: ReadFlavor,
     ) -> Result<Option<Vec<u8>>, TcError> {
         self.ensure_available()?;
-        let dc = self.route(table)?.dc_for(&key);
+        let dc = self.session.route(table)?.dc_for(&key);
         self.ask_value(TxnId(0), dc, &LogicalOp::Read { table, key, flavor })
     }
 
@@ -1121,7 +857,7 @@ impl Tc {
         flavor: ReadFlavor,
     ) -> Result<Vec<(Key, Vec<u8>)>, TcError> {
         self.ensure_available()?;
-        let route = self.route(table)?;
+        let route = self.session.route(table)?;
         let mut out = Vec::new();
         for dc in route.dcs_for_range(&low, high.as_ref()) {
             let remaining = limit.map(|l| l.saturating_sub(out.len()));
@@ -1155,43 +891,17 @@ impl Tc {
         self.lock_or_abort(txn, LockName::Table(table), LockMode::IS)?;
         match self.cfg.scan_protocol.clone() {
             ScanProtocol::StaticRanges(p) => {
-                // Lock every partition the range touches, then scan.
+                // Lock every partition the range touches; those S locks
+                // cover the scan, which takes no record locks.
                 for part in p.partitions_overlapping(&low, high.as_ref()) {
                     self.lock_or_abort(txn, LockName::Range(table, part), LockMode::S)?;
                 }
-                self.scan_locked_range(txn, table, &low, high.as_ref(), limit)
+                self.scan_unlocked(table, low, high, limit, ReadFlavor::Latest)
             }
             ScanProtocol::FetchAhead { batch } => {
                 self.scan_fetch_ahead(txn, table, &low, high.as_ref(), limit, batch)
             }
         }
-    }
-
-    fn scan_locked_range(
-        &self,
-        _txn: TxnId,
-        table: TableId,
-        low: &Key,
-        high: Option<&Key>,
-        limit: Option<usize>,
-    ) -> Result<Vec<(Key, Vec<u8>)>, TcError> {
-        let route = self.route(table)?;
-        let mut out = Vec::new();
-        for dc in route.dcs_for_range(low, high) {
-            let remaining = limit.map(|l| l.saturating_sub(out.len()));
-            if remaining == Some(0) {
-                break;
-            }
-            let op = LogicalOp::ScanRange {
-                table,
-                low: low.clone(),
-                high: high.cloned(),
-                limit: remaining,
-                flavor: ReadFlavor::Latest,
-            };
-            out.extend(self.ask_entries(TxnId(0), dc, &op)?);
-        }
-        Ok(out)
     }
 
     /// The fetch-ahead protocol (Section 3.1): probe keys speculatively,
@@ -1205,7 +915,7 @@ impl Tc {
         limit: Option<usize>,
         batch: usize,
     ) -> Result<Vec<(Key, Vec<u8>)>, TcError> {
-        let route = self.route(table)?;
+        let route = self.session.route(table)?;
         let mut out: Vec<(Key, Vec<u8>)> = Vec::new();
         'dcs: for dc in route.dcs_for_range(low, high) {
             let mut from = low.clone();
@@ -1424,7 +1134,9 @@ impl Tc {
     pub(crate) fn send_stamps(&self, stamps: &[(DcId, Lsn, LogicalOp)]) -> Result<(), TcError> {
         for (dc, l, op) in stamps {
             TcStats::bump(&self.stats.stamps_sent);
-            let _ = self.send_op(*dc, RequestId::Op(*l), op, false)?;
+            let _ = self
+                .session
+                .send_op(*dc, RequestId::Op(*l), op, Path::Gated)?;
         }
         Ok(())
     }
@@ -1502,7 +1214,9 @@ impl Tc {
             });
             self.maybe_background_force();
             TcStats::bump(&self.stats.undo_ops);
-            let _ = self.send_op(dc, RequestId::Op(l), &inv, false)?;
+            let _ = self
+                .session
+                .send_op(dc, RequestId::Op(l), &inv, Path::Gated)?;
         }
         if part_of.is_some() {
             self.log_bookkeeping(TcLogRecord::ParticipantAbort { txn });
@@ -1529,28 +1243,9 @@ impl Tc {
         let target = self.log.last().next();
         self.force_and_publish();
         let mut granted = target;
-        let dcs: Vec<DcId> = self.links.read().keys().copied().collect();
-        for dc in dcs {
-            let slot = Arc::new(LsnSlot {
-                val: Mutex::new(None),
-                cv: Condvar::new(),
-            });
-            self.ckpt_waiters.lock().insert(dc, slot.clone());
-            self.link(dc)?.send(TcToDc::Checkpoint {
-                tc: self.id,
-                new_rssp: target,
-            });
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            let mut v = slot.val.lock();
-            while v.is_none() {
-                if slot.cv.wait_until(&mut v, deadline).timed_out() {
-                    break;
-                }
-            }
-            let dc_granted = v.unwrap_or(Lsn(self.rssp.load(Ordering::Relaxed)));
-            drop(v);
-            self.ckpt_waiters.lock().remove(&dc);
-            granted = granted.min(dc_granted);
+        for dc in self.session.dcs() {
+            let reply = self.session.checkpoint(dc, target)?;
+            granted = granted.min(reply.unwrap_or(self.rssp()));
         }
         let active: Vec<TxnId> = self.txns.lock().keys().copied().collect();
         let rec = TcLogRecord::Checkpoint {
@@ -1661,22 +1356,24 @@ impl Tc {
         key: Key,
         required: Lsn,
     ) -> Result<Option<Vec<u8>>, TcError> {
-        let primary = self.route(table)?.dc_for(&key);
+        let primary = self.session.route(table)?.dc_for(&key);
         let ticket = self.replica_rr.fetch_add(1, Ordering::Relaxed);
         if let Some((replica, link)) =
             self.shipper
-                .pick_replica(self.resolve_dc(primary), required, ticket)
+                .pick_replica(self.session.resolve_dc(primary), required, ticket)
         {
             TcStats::bump(&self.stats.replica_reads);
-            let req = RequestId::Read(self.next_read.fetch_add(1, Ordering::Relaxed));
             let op = LogicalOp::Read {
                 table,
                 key: key.clone(),
                 flavor: ReadFlavor::Latest,
             };
+            let req = self.session.next_read();
             // Replica failed, refused or answered out of shape: fall
             // back to the primary.
-            if let Ok(Ok(OpResult::Value(v))) = self.send_via(&link, replica, req, &op) {
+            if let Ok(Ok(OpResult::Value(v))) =
+                self.session.send_op(replica, req, &op, Path::Via(&link))
+            {
                 return Ok(v);
             }
         }
@@ -1686,50 +1383,6 @@ impl Tc {
         // unlike the instant S lock this path once took — it never
         // queues behind a writer's X lock.
         self.snapshot_read_at(table, key, self.log.stable())
-    }
-
-    /// Send one request over an explicit link (replica reads address DCs
-    /// outside the primary `links` registry), waiting with the ordinary
-    /// resend machinery.
-    fn send_via(
-        &self,
-        link: &Arc<dyn DcLink>,
-        dc: DcId,
-        req: RequestId,
-        op: &LogicalOp,
-    ) -> Result<Result<OpResult, DcError>, TcError> {
-        let slot = self.slot_for(req);
-        let mut attempts: u32 = 0;
-        loop {
-            link.send(TcToDc::Perform {
-                tc: self.id,
-                req,
-                op: op.clone(),
-            });
-            if attempts == 0 {
-                TcStats::bump(&self.stats.reads_sent);
-            } else {
-                TcStats::bump(&self.stats.resends);
-            }
-            let deadline = std::time::Instant::now() + self.cfg.resend_interval;
-            let mut v = slot.val.lock();
-            while v.is_none() {
-                if slot.cv.wait_until(&mut v, deadline).timed_out() {
-                    break;
-                }
-            }
-            if let Some(result) = v.take() {
-                drop(v);
-                self.drop_slot(req, &slot);
-                return Ok(result);
-            }
-            drop(v);
-            attempts += 1;
-            if attempts > self.cfg.max_resends {
-                self.drop_slot(req, &slot);
-                return Err(TcError::DcUnreachable(dc));
-            }
-        }
     }
 
     /// Failover: promote read-only replica `new` to writable primary for
@@ -1759,9 +1412,9 @@ impl Tc {
         TcStats::bump(&self.stats.promotions);
         // Quiesce normal traffic addressed to the deposed primary while
         // links and routes are re-pointed.
-        self.gate(old);
+        self.session.gate(old);
         let result = self.promote_inner(old, new, new_link);
-        self.ungate(old);
+        self.session.ungate(old);
         result
     }
 
@@ -1784,7 +1437,7 @@ impl Tc {
         // Fence first: no write may land at the old primary after the
         // new one starts accepting them. Best effort if old is down —
         // the deployment re-fences a fenced node on reboot.
-        if let Ok(old_link) = self.link(old) {
+        if let Ok(old_link) = self.session.link(old) {
             old_link.send(TcToDc::Fence { tc: self.id });
         }
         // Catch up the *stream* while `new` is still a replica: the ship
@@ -1795,19 +1448,24 @@ impl Tc {
         // newer state (e.g. a compensation whose first delivery failed)
         // would corrupt the copy.
         let stable = self.log.stable();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let deadline = Instant::now() + Duration::from_secs(5);
         loop {
+            // Expect the next ack before shipping: an inline link
+            // delivers it during the send.
+            let ack = self.session.control.expect((new, Control::ShipAck));
             let end = self.ship_now();
             match self.shipper.applied_of(new) {
                 Some(applied) if applied >= end => break,
                 None => break, // unregistered (already promoted?)
-                _ => {
-                    if std::time::Instant::now() >= deadline {
-                        return Err(TcError::DcUnreachable(new));
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+                _ => {}
             }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(TcError::DcUnreachable(new));
+            }
+            // No ack within the resend interval: re-ship (the shipper
+            // resends from a stalled cursor).
+            ack.wait((now + self.cfg.resend_interval).min(deadline));
         }
         // Operations whose outcome the stream does not know yet: stable
         // ops of still-unresolved transactions, plus the volatile log
@@ -1830,24 +1488,19 @@ impl Tc {
         // reach the promoted replica; surviving replicas of `old` extend
         // their lineage.
         self.shipper.promote(old, new);
-        {
-            let mut links = self.links.write();
-            links.remove(&old);
-            links.insert(new, new_link.clone());
-        }
-        self.aliases.write().insert(old, new);
+        self.session.repoint(old, new, Some(new_link.clone()));
         // The replica switches to primary mode (mutations accepted) —
         // before the raw redo, which sends mutations.
         new_link.send(TcToDc::Promote { tc: self.id });
-        self.begin_restart_with(new, stable)?;
+        self.session.restart(new, Some(stable))?;
         for (lsn, dc, op) in raw {
-            if self.resolve_dc(dc) != new {
+            if self.session.resolve_dc(dc) != new {
                 continue;
             }
             TcStats::bump(&self.stats.redo_resends);
-            let _ = self.send_op(new, RequestId::Op(lsn), &op, true)?;
+            self.session.redo(new, lsn, &op)?;
         }
-        self.end_restart_with(new)?;
+        self.session.restart(new, None)?;
         // Make everything the new primary holds *stable*, then raise its
         // redo floor to the granted point: future recoveries replay raw
         // history to this DC only above the floor (below it, the flushed
@@ -1859,25 +1512,7 @@ impl Tc {
         new_link.send(TcToDc::EndOfStableLog { tc: self.id, eosl });
         let mut floor = Lsn(0);
         for _ in 0..20 {
-            let slot = Arc::new(LsnSlot {
-                val: Mutex::new(None),
-                cv: Condvar::new(),
-            });
-            self.ckpt_waiters.lock().insert(new, slot.clone());
-            new_link.send(TcToDc::Checkpoint {
-                tc: self.id,
-                new_rssp: target,
-            });
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            let mut v = slot.val.lock();
-            while v.is_none() {
-                if slot.cv.wait_until(&mut v, deadline).timed_out() {
-                    break;
-                }
-            }
-            floor = v.unwrap_or(Lsn(0));
-            drop(v);
-            self.ckpt_waiters.lock().remove(&new);
+            floor = self.session.checkpoint(new, target)?.unwrap_or(Lsn(0));
             if floor >= target {
                 break;
             }
@@ -1885,17 +1520,12 @@ impl Tc {
         if floor.is_null() {
             return Err(TcError::DcUnreachable(new));
         }
-        self.raise_redo_floor(new, floor);
+        self.session.raise_redo_floor(new, floor);
         // Durably record the failover: a recovering TC re-derives the
         // alias and the redo floor from this record.
         self.log_bookkeeping(TcLogRecord::Promote { old, new, floor });
         self.force_log();
-        {
-            let mut routes = self.routes.write();
-            for route in routes.values_mut() {
-                route.replace_dc(old, new);
-            }
-        }
+        self.session.reroute(old, new);
         self.force_and_publish();
         Ok(())
     }
@@ -1909,7 +1539,7 @@ impl Tc {
     pub(crate) fn log_op_record(&self, rec: TcLogRecord) -> Lsn {
         let _g = self.alloc.lock();
         let lsn = self.log.append(rec);
-        self.acks.sent(lsn);
+        self.session.acks.sent(lsn);
         lsn
     }
 
@@ -1918,7 +1548,7 @@ impl Tc {
     pub(crate) fn log_bookkeeping(&self, rec: TcLogRecord) -> Lsn {
         let _g = self.alloc.lock();
         let lsn = self.log.append(rec);
-        self.acks.bookkeeping(lsn);
+        self.session.acks.bookkeeping(lsn);
         lsn
     }
 }

@@ -640,7 +640,7 @@ fn read_committed_roundtrip_on_shared_deployment() {
         TcConfig::default(),
         DcConfig::default(),
         TransportKind::Inline,
-        &[TableSpec::versioned(T, "shared")],
+        &[TableSpec::plain(T, "shared")],
     ));
     let tc = d.tc(TcId(1));
     // Writer thread commits versions while a reader polls read-committed:

@@ -483,12 +483,42 @@ fn works_across_queued_transport_with_delay() {
 }
 
 #[test]
+fn dropping_a_deployment_frees_its_tc() {
+    let queued = TransportKind::Queued {
+        faults: FaultModel::default(),
+        workers: 2,
+        batch: 4,
+    };
+    for (name, kind) in [("inline", TransportKind::Inline), ("queued", queued)] {
+        let d = basic(kind);
+        let tc = d.tc(TcId(1));
+        let t = tc.begin().unwrap();
+        tc.insert(t, T, Key::from_u64(1), b"v".to_vec()).unwrap();
+        tc.commit(t).unwrap();
+        let weak = std::sync::Arc::downgrade(&tc);
+        drop(tc);
+        drop(d);
+        // A queued worker may still be returning from delivering the
+        // last reply; the TC goes when that delivery ends.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while weak.strong_count() > 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            weak.strong_count(),
+            0,
+            "{name}: the TC outlived its deployment"
+        );
+    }
+}
+
+#[test]
 fn versioned_sharing_read_committed_vs_dirty() {
     let d = single(
         TcConfig::default(),
         DcConfig::default(),
         TransportKind::Inline,
-        &[TableSpec::versioned(T, "shared")],
+        &[TableSpec::plain(T, "shared")],
     );
     let tc = d.tc(TcId(1));
     let t0 = tc.begin().unwrap();

@@ -27,7 +27,8 @@ use unbundled::tc::{
 };
 
 const T: TableId = TableId(1);
-/// A versioned table (Section 6.2.2 sharing) hosted beside `T`.
+/// A table written with versioned writes (Section 6.2.2 sharing),
+/// hosted beside `T`.
 const V: TableId = TableId(2);
 
 /// A key owned by shard 1 under `TcShardMap::even(&[TcId(1), TcId(2)])`.
@@ -58,7 +59,7 @@ fn sharded_deployment() -> Deployment {
         d.add_tc(tc, tc_cfg.clone());
         d.connect(tc, dc, TransportKind::Inline);
         d.create_table(dc, TableSpec::plain(T, "t"));
-        d.create_table(dc, TableSpec::versioned(V, "v"));
+        d.create_table(dc, TableSpec::plain(V, "v"));
         d.route(tc, T, TableRoute::Single(dc));
         d.route(tc, V, TableRoute::Single(dc));
     }

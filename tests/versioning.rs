@@ -21,8 +21,9 @@ const DC: DcId = DcId(1);
 const WRITER: TcId = TcId(1);
 const READER: TcId = TcId(2);
 
-/// One DC holding a versioned table `V` and a plain table `P`, shared by
-/// two TCs (the Figure 2 shape in miniature).
+/// One DC holding table `V` (written with versioned writes) and table
+/// `P` (written with plain ones), shared by two TCs (the Figure 2 shape
+/// in miniature).
 fn shared() -> Deployment {
     let cfg = TcConfig {
         resend_interval: Duration::from_millis(1),
@@ -31,7 +32,7 @@ fn shared() -> Deployment {
     };
     let mut d = Deployment::new();
     d.add_dc(DC, DcConfig::default());
-    d.create_table(DC, TableSpec::versioned(V, "shared"));
+    d.create_table(DC, TableSpec::plain(V, "shared"));
     d.create_table(DC, TableSpec::plain(P, "plain"));
     for tc in [WRITER, READER] {
         d.add_tc(tc, cfg.clone());
