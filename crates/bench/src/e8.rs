@@ -21,7 +21,7 @@ use crate::report::{best_of, find, Gate, Report};
 use crate::{load_tc, multi_tc_deployment, tc_partition_base, TABLE};
 use std::sync::Arc;
 use std::time::Duration;
-use unbundled_core::{DcId, Key, TcId};
+use unbundled_core::{DcId, Key, ReadConsistency, TcId};
 use unbundled_dc::DcConfig;
 use unbundled_kernel::harness::{ops_per_sec, run_concurrent};
 use unbundled_kernel::Deployment;
@@ -128,10 +128,17 @@ pub fn run_e8(smoke: bool) -> Report {
         tc.commit(txn).expect("commit");
         got.len() as u64 == per_tc
     });
-    let peek = d
-        .tc(TcId(1))
-        .read_dirty(TABLE, Key::from_u64(tc_partition_base(2) + 1))
+    let reader = d.tc(TcId(1));
+    let txn = reader.begin().expect("begin");
+    let peek = reader
+        .read(
+            txn,
+            TABLE,
+            Key::from_u64(tc_partition_base(2) + 1),
+            ReadConsistency::Dirty,
+        )
         .expect("cross-TC read");
+    reader.commit(txn).expect("commit");
 
     let speedup4 = find(&rows, "4 TCs").speedup;
     let gates = vec![

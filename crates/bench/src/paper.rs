@@ -8,7 +8,7 @@ use crate::report::Report;
 use crate::{load_tc, unbundled_single, TABLE};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unbundled_core::{DcId, Key, LogicalOp, Lsn, ReadFlavor, RequestId, TableSpec, TcId};
+use unbundled_core::{DcId, Key, LogicalOp, Lsn, ReadConsistency, RequestId, TableSpec, TcId};
 use unbundled_dc::{DcConfig, DcEngine, ResetMode, SyncPolicy};
 use unbundled_kernel::harness::{ops_per_sec, run_concurrent};
 use unbundled_kernel::scenarios::MovieSite;
@@ -60,7 +60,7 @@ pub fn run_e2(_smoke: bool) -> Report {
     timed("W1 reviews-per-movie (read committed)", 100, &mut || {
         (0..100u64)
             .map(|m| {
-                site.w1_reviews_for_movie(m, ReadFlavor::Committed)
+                site.w1_reviews_for_movie(m, ReadConsistency::Committed)
                     .unwrap()
                     .len() as u64
             })

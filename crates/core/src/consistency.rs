@@ -1,6 +1,7 @@
 //! The read-consistency spectrum — one first-class surface for every
 //! read the transaction tier can serve (primary locking reads, primary
-//! MVCC snapshot reads, bounded-staleness replica reads).
+//! MVCC snapshot reads, bounded-staleness replica reads, and the
+//! unlocked read-committed and dirty reads of Section 6.2).
 //!
 //! "Towards Transaction as a Service" argues a decoupled transaction
 //! tier must expose read consistency as a service surface rather than a
@@ -36,6 +37,8 @@ pub enum SnapshotSpec {
 /// | `Snapshot` | none | commits ≤ snapshot LSN | primary |
 /// | `BoundedLag(n)` | none | ≤ `n` LSNs behind stable | replica, else primary snapshot |
 /// | `AtLeast(lsn)` | none | anything ≥ `lsn` | replica, else primary snapshot |
+/// | `Committed` | none | newest stamped version, any TC's | routed DC |
+/// | `Dirty` | none | latest, uncommitted included | routed DC |
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ReadConsistency {
     /// Serializable locking read on the primary: takes an S record
@@ -54,6 +57,15 @@ pub enum ReadConsistency {
     /// pass the stable position observed after your commit); falls
     /// back to a primary snapshot read at the stable LSN.
     AtLeast(Lsn),
+    /// Read committed (Section 6.2.2): the newest version carrying a
+    /// commit stamp from any TC sharing the DC. Served straight by the
+    /// routed DC — no lock, no pinned snapshot, no shard forwarding —
+    /// which makes it the read of Figure 2's reader TC.
+    Committed,
+    /// Dirty read (Section 6.2.1): the latest version, uncommitted work
+    /// included, but always operation-atomic ("well formed"). Served
+    /// like [`ReadConsistency::Committed`].
+    Dirty,
 }
 
 impl ReadConsistency {
@@ -77,5 +89,7 @@ mod tests {
         assert!(ReadConsistency::Snapshot(SnapshotSpec::At(Lsn(3))).lock_free());
         assert!(ReadConsistency::BoundedLag(0).lock_free());
         assert!(ReadConsistency::AtLeast(Lsn(9)).lock_free());
+        assert!(ReadConsistency::Committed.lock_free());
+        assert!(ReadConsistency::Dirty.lock_free());
     }
 }

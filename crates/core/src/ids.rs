@@ -66,7 +66,7 @@ impl fmt::Display for TableId {
 ///
 /// The DC never learns transaction ids: `perform_operation` deliberately
 /// carries no transactional context (paper Section 4.2.1).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct TxnId(pub u64);
 
 impl fmt::Display for TxnId {

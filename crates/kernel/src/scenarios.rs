@@ -20,7 +20,7 @@
 
 use crate::deployment::{Deployment, TransportKind};
 use std::sync::Arc;
-use unbundled_core::{DcId, Key, ReadFlavor, TableId, TableSpec, TcError, TcId};
+use unbundled_core::{DcId, Key, ReadConsistency, TableId, TableSpec, TcError, TcId};
 use unbundled_dc::DcConfig;
 use unbundled_tc::{TableRoute, Tc, TcConfig};
 
@@ -173,17 +173,20 @@ impl MovieSite {
     }
 
     /// **W1**: all reviews for movie `mid`, via the read-only TC.
-    /// `flavor` picks dirty reads vs read-committed (Section 6.2).
-    /// Clustering guarantees the query touches exactly one DC.
+    /// `how` picks the read level — [`ReadConsistency::Committed`] or
+    /// [`ReadConsistency::Dirty`] (Section 6.2). The transaction logs
+    /// nothing. Clustering guarantees the query touches exactly one DC.
     pub fn w1_reviews_for_movie(
         &self,
         mid: u64,
-        flavor: ReadFlavor,
+        how: ReadConsistency,
     ) -> Result<Vec<(u64, Vec<u8>)>, TcError> {
         let reader = self.reader();
         let low = Key::from_pair(mid, 0);
         let high = Key::from_pair(mid, u64::MAX);
-        let rows = reader.scan_unlocked(REVIEWS, low, Some(high), None, flavor)?;
+        let txn = reader.begin()?;
+        let rows = reader.scan_with(txn, REVIEWS, low, Some(high), None, how)?;
+        reader.commit(txn)?;
         Ok(rows
             .into_iter()
             .map(|(k, v)| (k.as_pair().expect("review key").1, v))

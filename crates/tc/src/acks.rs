@@ -5,7 +5,8 @@
 //! applied — multithreading delivers operations out of LSN order. The TC
 //! can: the LWM is the largest LSN such that every operation with a
 //! lower-or-equal LSN has been replied to. Non-operation log records
-//! (Begin/Commit/…) also consume LSNs; they count as instantly "acked".
+//! (Commit/Prepare/Checkpoint/…) also consume LSNs; they count as
+//! instantly "acked".
 
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
@@ -110,7 +111,7 @@ mod tests {
     #[test]
     fn bookkeeping_lsns_do_not_block() {
         let t = AckTracker::new();
-        t.bookkeeping(Lsn(1)); // Begin record
+        t.bookkeeping(Lsn(1)); // Checkpoint record
         t.sent(Lsn(2));
         t.acked(Lsn(2));
         t.bookkeeping(Lsn(3)); // Commit record
@@ -181,9 +182,9 @@ mod tests {
     #[test]
     fn bookkeeping_lsns_interleaved_with_ops() {
         let t = AckTracker::new();
-        t.bookkeeping(Lsn(1)); // Begin
+        t.bookkeeping(Lsn(1)); // Checkpoint
         t.sent(Lsn(2)); // op
-        t.bookkeeping(Lsn(3)); // Begin of a second txn
+        t.bookkeeping(Lsn(3)); // Commit of another txn
         t.sent(Lsn(4)); // op
         t.bookkeeping(Lsn(5)); // Commit
         assert_eq!(t.lwm(), Lsn(1), "ops at 2 and 4 outstanding");

@@ -32,7 +32,12 @@ impl Tc {
         let stable_end = self.log.stable();
         let records = self.log.store().read_all_stable();
 
-        // --- Analysis: losers, undo chains, commit stamps, RSSP.
+        // --- Analysis: losers, undo chains, commit stamps, RSSP. A
+        // transaction's first record is its first `Op` or `Prepare`, so
+        // that is where analysis learns of it; it stays a loser unless
+        // a resolution record follows.
+        // Redo-only records never create one: a stamp logged after its
+        // transaction's commit record must not revive it as a loser.
         let mut rssp = Lsn(1);
         let mut losers: HashMap<TxnId, Vec<(Lsn, DcId, LogicalOp)>> = HashMap::new();
         // Commit stamps. A winner's versions must carry its commit LSN
@@ -49,11 +54,12 @@ impl Tc {
         let mut stamps_logged: HashSet<(TableId, Key, Lsn)> = HashSet::new();
         // Cross-TC 2PC state: prepared participant branches (in-doubt
         // unless a later resolution record appears), our own retained
-        // commit decisions (re-pinned and re-broadcast), and Begin LSNs
-        // (the log floor a parked in-doubt branch pins).
+        // commit decisions (re-pinned and re-broadcast), and each
+        // transaction's first LSN (the log floor a parked in-doubt
+        // branch pins).
         let mut prepared: HashMap<TxnId, (TcId, TxnId)> = HashMap::new();
         let mut decisions: Vec<(TxnId, Vec<TcId>, Lsn)> = Vec::new();
-        let mut begins: HashMap<TxnId, Lsn> = HashMap::new();
+        let mut firsts: HashMap<TxnId, Lsn> = HashMap::new();
         // Failover intents without a matching Promote record: the TC
         // crashed mid-promotion; re-drive it below.
         let mut promote_intents: Vec<(DcId, DcId)> = Vec::new();
@@ -68,7 +74,7 @@ impl Tc {
                 max_txn = max_txn.max(t.0);
             }
             match rec {
-                TcLogRecord::Checkpoint { rssp: r, .. } => rssp = (*r).max(rssp),
+                TcLogRecord::Checkpoint { rssp: r } => rssp = (*r).max(rssp),
                 TcLogRecord::Promote { old, new, floor } => {
                     // Re-derive the failover topology: ops addressed to
                     // the deposed primary go to the promoted DC, and raw
@@ -82,13 +88,11 @@ impl Tc {
                 TcLogRecord::PromoteIntent { old, new } => {
                     promote_intents.push((*old, *new));
                 }
-                TcLogRecord::Begin { txn } => {
-                    losers.insert(*txn, Vec::new());
-                    begins.insert(*txn, Lsn(*seq));
-                }
                 TcLogRecord::Op { txn, dc, op, undo } => {
-                    if let (Some(chain), Some(u)) = (losers.get_mut(txn), undo.clone()) {
-                        chain.push((Lsn(*seq), *dc, u));
+                    firsts.entry(*txn).or_insert(Lsn(*seq));
+                    let chain = losers.entry(*txn).or_default();
+                    if let Some(u) = undo {
+                        chain.push((Lsn(*seq), *dc, u.clone()));
                     }
                     if op.is_mutation() {
                         if let Some(k) = op.point_key() {
@@ -114,6 +118,9 @@ impl Tc {
                     wtrack.remove(txn);
                 }
                 TcLogRecord::Prepare { txn, coord, gtxn } => {
+                    // A branch opened only by reads logs its Prepare first.
+                    firsts.entry(*txn).or_insert(Lsn(*seq));
+                    losers.entry(*txn).or_default();
                     prepared.insert(*txn, (*coord, *gtxn));
                 }
                 TcLogRecord::CommitDecision { txn, participants } => {
@@ -216,7 +223,7 @@ impl Tc {
                 }
                 TwopcOutcome::InDoubt => {
                     let chain = losers.remove(txn).unwrap_or_default();
-                    let first = begins.get(txn).copied().unwrap_or(Lsn(1));
+                    let first = firsts.get(txn).copied().unwrap_or(Lsn(1));
                     branch_parks.push((*txn, *coord, *gtxn, first, chain));
                 }
                 // Stays a loser; undone below (with a ParticipantAbort

@@ -232,9 +232,8 @@ impl Shipper {
     fn classify(g: &mut ShipperInner, seq: u64, rec: TcLogRecord) {
         let lsn = Lsn(seq);
         match rec {
-            TcLogRecord::Begin { txn } => {
-                g.pending.entry(txn).or_default();
-            }
+            // A transaction enters the stream's bookkeeping at its first
+            // operation; one with none has nothing to ship.
             TcLogRecord::Op { txn, dc, op, .. } => {
                 g.pending.entry(txn).or_default().push((lsn, dc, op));
             }

@@ -65,8 +65,10 @@ pub struct TcConfig {
     /// Range-scan locking protocol (Section 3.1).
     pub scan_protocol: ScanProtocol,
     /// Background force threshold: force + publish EOSL/LWM after this
-    /// many appended records even without a commit (keeps the DC's
-    /// causality frontier moving for long transactions).
+    /// many appended operation records (forward `Op`s and rollback
+    /// compensations) even without a commit — keeps the DC's causality
+    /// frontier moving for long transactions. Commits force on their
+    /// own, and `begin` logs nothing, so neither counts.
     pub force_every: usize,
     /// Group commit: `None` forces the log (and publishes EOSL/LWM) once
     /// per committing transaction; `Some` routes commits through the
@@ -89,11 +91,16 @@ impl Default for TcConfig {
     }
 }
 
-/// Per-transaction state.
+/// Per-transaction state. Its collections start empty and allocate on
+/// first use.
+#[derive(Default)]
 pub(crate) struct TxnState {
     pub(crate) id: TxnId,
-    /// LSN of the Begin record (log truncation floor).
-    pub(crate) first_lsn: Lsn,
+    /// Lower bound on the LSN of the first record this transaction
+    /// logged — its log truncation floor. `None` until it logs one: a
+    /// transaction enters the log with its first `Op`, `Prepare` or
+    /// `CommitDecision` (see [`Tc::enter_log`]).
+    pub(crate) first_lsn: Option<Lsn>,
     /// Inverse operations in forward order (rollback walks it backwards).
     pub(crate) undo: Vec<(DcId, LogicalOp)>,
     /// DCs touched by this transaction.
@@ -412,29 +419,32 @@ impl Tc {
     // Transaction API
     // ------------------------------------------------------------------
 
-    /// Start a transaction.
+    /// Start a transaction. Nothing is logged: a transaction that never
+    /// writes has nothing to redo or undo, so it enters the log only
+    /// with its first record ([`Tc::enter_log`]), and a read-only one
+    /// never does.
     pub fn begin(&self) -> Result<TxnId, TcError> {
         self.ensure_available()?;
         let txn = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
-        let lsn = self.log_bookkeeping(TcLogRecord::Begin { txn });
-        self.maybe_background_force();
         let st = TxnState {
             id: txn,
-            first_lsn: lsn,
-            undo: Vec::new(),
-            touched: HashSet::new(),
-            cache: HashMap::new(),
-            writes: HashMap::new(),
-            snapshot: None,
-            remotes: HashSet::new(),
-            part_of: None,
-            prepared: false,
-            shard_points: HashSet::new(),
             span: obs::open_span("tc.txn", "txn", txn.0),
-            lock_wait_ns: 0,
+            ..TxnState::default()
         };
         self.txns.lock().insert(txn, Arc::new(Mutex::new(st)));
         Ok(txn)
+    }
+
+    /// Fix `st`'s log truncation floor before it appends its first
+    /// record. `last().next()` bounds that record's LSN from below, and
+    /// the floor is set before the append: a checkpoint whose target
+    /// covers the record therefore finds the floor when it computes
+    /// what it may truncate.
+    pub(crate) fn enter_log(&self, st: &Arc<Mutex<TxnState>>) {
+        let mut g = st.lock();
+        if g.first_lsn.is_none() {
+            g.first_lsn = Some(self.log.last().next());
+        }
     }
 
     pub(crate) fn txn_state(&self, txn: TxnId) -> Result<Arc<Mutex<TxnState>>, TcError> {
@@ -636,6 +646,7 @@ impl Tc {
         };
 
         // --- Log, then send.
+        self.enter_log(&st);
         let lsn = self.log_op_record(TcLogRecord::Op {
             txn,
             dc,
@@ -731,6 +742,9 @@ impl Tc {
     ///   lock-free snapshot read on the primary at the stable LSN
     ///   (never an S lock: a contended fallback must not block behind
     ///   writers).
+    /// * [`ReadConsistency::Committed`] / [`ReadConsistency::Dirty`] —
+    ///   served straight by the routed DC: no lock, no pin, no shard
+    ///   forwarding (Figure 2's reader TC).
     pub fn read(
         &self,
         txn: TxnId,
@@ -745,17 +759,19 @@ impl Tc {
             ReadConsistency::Snapshot(spec) => {
                 if let Some(owner) = self.shard_owner(&key) {
                     let peer = self.peer_tc(owner).ok_or(TcError::NoSuchTc(owner))?;
-                    let at = peer.log.stable();
-                    return peer.snapshot_read_at(table, key, at);
+                    let at = ReadFlavor::Snapshot(peer.log.stable());
+                    return peer.read_flavor(txn, table, key, at);
                 }
-                let at = self.resolve_snapshot(&st, spec);
-                self.snapshot_read_at(table, key, at)
+                let at = ReadFlavor::Snapshot(self.resolve_snapshot(&st, spec));
+                self.read_flavor(txn, table, key, at)
             }
             ReadConsistency::BoundedLag(lag) => {
                 let required = Lsn(self.log.stable().0.saturating_sub(lag));
-                self.replica_or_snapshot_read(table, key, required)
+                self.replica_or_snapshot_read(txn, table, key, required)
             }
-            ReadConsistency::AtLeast(l) => self.replica_or_snapshot_read(table, key, l),
+            ReadConsistency::AtLeast(l) => self.replica_or_snapshot_read(txn, table, key, l),
+            ReadConsistency::Committed => self.read_flavor(txn, table, key, ReadFlavor::Committed),
+            ReadConsistency::Dirty => self.read_flavor(txn, table, key, ReadFlavor::Latest),
         }
     }
 
@@ -812,51 +828,79 @@ impl Tc {
         }
     }
 
-    /// Lock-free MVCC snapshot read at an explicit commit-LSN bound.
-    pub(crate) fn snapshot_read_at(
+    /// Lock-free point read served by the routed DC at `flavor`: what
+    /// every level but `Locking` comes down to, here or at the owning
+    /// shard.
+    fn read_flavor(
         &self,
-        table: TableId,
-        key: Key,
-        at: Lsn,
-    ) -> Result<Option<Vec<u8>>, TcError> {
-        TcStats::bump(&self.stats.snapshot_reads);
-        self.unlocked_read(table, key, ReadFlavor::Snapshot(at))
-    }
-
-    /// Lock-free read of *committed* data via versioning (Section 6.2.2:
-    /// "Readers are never blocked"). Usable from any TC sharing the DC.
-    pub fn read_committed(&self, table: TableId, key: Key) -> Result<Option<Vec<u8>>, TcError> {
-        self.unlocked_read(table, key, ReadFlavor::Committed)
-    }
-
-    /// Lock-free dirty read (Section 6.2.1): sees uncommitted but always
-    /// operation-atomic ("well formed") data.
-    pub fn read_dirty(&self, table: TableId, key: Key) -> Result<Option<Vec<u8>>, TcError> {
-        self.unlocked_read(table, key, ReadFlavor::Latest)
-    }
-
-    fn unlocked_read(
-        &self,
+        txn: TxnId,
         table: TableId,
         key: Key,
         flavor: ReadFlavor,
     ) -> Result<Option<Vec<u8>>, TcError> {
-        self.ensure_available()?;
+        if let ReadFlavor::Snapshot(_) = flavor {
+            TcStats::bump(&self.stats.snapshot_reads);
+        }
         let dc = self.session.route(table)?.dc_for(&key);
-        self.ask_value(TxnId(0), dc, &LogicalOp::Read { table, key, flavor })
+        self.ask_value(txn, dc, &LogicalOp::Read { table, key, flavor })
     }
 
-    /// Lock-free committed range scan (used by reader TCs à la Figure 2's
-    /// TC3; `flavor` picks dirty vs read-committed).
-    pub fn scan_unlocked(
+    /// Serializable range scan under the configured Section 3.1
+    /// protocol: [`Tc::scan_with`] at [`ReadConsistency::Locking`].
+    pub fn scan(
         &self,
+        txn: TxnId,
         table: TableId,
         low: Key,
         high: Option<Key>,
         limit: Option<usize>,
-        flavor: ReadFlavor,
+    ) -> Result<Vec<(Key, Vec<u8>)>, TcError> {
+        self.scan_with(txn, table, low, high, limit, ReadConsistency::Locking)
+    }
+
+    /// Range scan at an explicit [`ReadConsistency`], the scan half of
+    /// the read surface ([`Tc::read`]). `Locking` runs the configured
+    /// Section 3.1 protocol; every other level takes no lock and asks
+    /// the routed DCs for the flavor it names. `Snapshot` scans at the
+    /// resolved snapshot LSN; the replica levels scan the primary at
+    /// the stable LSN, the same fallback a replica-level point read
+    /// takes.
+    pub fn scan_with(
+        &self,
+        txn: TxnId,
+        table: TableId,
+        low: Key,
+        high: Option<Key>,
+        limit: Option<usize>,
+        consistency: ReadConsistency,
     ) -> Result<Vec<(Key, Vec<u8>)>, TcError> {
         self.ensure_available()?;
+        let st = self.txn_state(txn)?;
+        let flavor = match consistency {
+            ReadConsistency::Locking => {
+                self.lock_or_abort(txn, LockName::Table(table), LockMode::IS)?;
+                match &self.cfg.scan_protocol {
+                    ScanProtocol::StaticRanges(p) => {
+                        // Lock every partition the range touches; those
+                        // S locks cover the scan, which takes no record
+                        // locks.
+                        for part in p.partitions_overlapping(&low, high.as_ref()) {
+                            self.lock_or_abort(txn, LockName::Range(table, part), LockMode::S)?;
+                        }
+                        ReadFlavor::Latest
+                    }
+                    ScanProtocol::FetchAhead { batch } => {
+                        return self.fetch_ahead(txn, table, &low, high.as_ref(), limit, *batch);
+                    }
+                }
+            }
+            ReadConsistency::Snapshot(s) => ReadFlavor::Snapshot(self.resolve_snapshot(&st, s)),
+            ReadConsistency::BoundedLag(_) | ReadConsistency::AtLeast(_) => {
+                ReadFlavor::Snapshot(self.log.stable())
+            }
+            ReadConsistency::Committed => ReadFlavor::Committed,
+            ReadConsistency::Dirty => ReadFlavor::Latest,
+        };
         let route = self.session.route(table)?;
         let mut out = Vec::new();
         for dc in route.dcs_for_range(&low, high.as_ref()) {
@@ -871,42 +915,14 @@ impl Tc {
                 limit: remaining,
                 flavor,
             };
-            out.extend(self.ask_entries(TxnId(0), dc, &op)?);
+            out.extend(self.ask_entries(txn, dc, &op)?);
         }
         Ok(out)
     }
 
-    /// Serializable range scan under the configured Section 3.1
-    /// protocol.
-    pub fn scan(
-        &self,
-        txn: TxnId,
-        table: TableId,
-        low: Key,
-        high: Option<Key>,
-        limit: Option<usize>,
-    ) -> Result<Vec<(Key, Vec<u8>)>, TcError> {
-        self.ensure_available()?;
-        self.txn_state(txn)?;
-        self.lock_or_abort(txn, LockName::Table(table), LockMode::IS)?;
-        match self.cfg.scan_protocol.clone() {
-            ScanProtocol::StaticRanges(p) => {
-                // Lock every partition the range touches; those S locks
-                // cover the scan, which takes no record locks.
-                for part in p.partitions_overlapping(&low, high.as_ref()) {
-                    self.lock_or_abort(txn, LockName::Range(table, part), LockMode::S)?;
-                }
-                self.scan_unlocked(table, low, high, limit, ReadFlavor::Latest)
-            }
-            ScanProtocol::FetchAhead { batch } => {
-                self.scan_fetch_ahead(txn, table, &low, high.as_ref(), limit, batch)
-            }
-        }
-    }
-
     /// The fetch-ahead protocol (Section 3.1): probe keys speculatively,
     /// lock them (plus the range edge), verify by re-probing, then read.
-    fn scan_fetch_ahead(
+    fn fetch_ahead(
         &self,
         txn: TxnId,
         table: TableId,
@@ -1059,18 +1075,12 @@ impl Tc {
 
     /// Single-shard commit (the classical path).
     fn commit_local(&self, txn: TxnId, st: &Arc<Mutex<TxnState>>) -> Result<(), TcError> {
-        let read_only = {
-            let g = st.lock();
-            g.undo.is_empty() && g.writes.is_empty()
-        };
-        let commit_lsn = self.log_bookkeeping(TcLogRecord::Commit { txn });
-        // Read-only fast path: nothing was written, so there is nothing
-        // to make durable. The commit record is appended for log
-        // hygiene but NOT forced — losing it across a crash presumes
-        // the transaction aborted, which for a read-only transaction is
-        // indistinguishable from commit. Snapshot readers therefore pay
-        // neither locks nor a log force.
-        if !read_only {
+        // Read-only fast path: a transaction that logged nothing has
+        // nothing to make durable, publish or undo, so it commits
+        // without touching the log. Snapshot readers therefore pay
+        // neither locks nor a log record.
+        if st.lock().first_lsn.is_some() {
+            let commit_lsn = self.log_bookkeeping(TcLogRecord::Commit { txn });
             // Stamp records are logged *before* the force so one flush
             // covers the commit record and the stamps, and sent *after*
             // it (write-ahead). Single-shard transactions need no 2PC:
@@ -1218,12 +1228,16 @@ impl Tc {
                 .session
                 .send_op(dc, RequestId::Op(l), &inv, Path::Gated)?;
         }
-        if part_of.is_some() {
-            self.log_bookkeeping(TcLogRecord::ParticipantAbort { txn });
-        } else {
-            self.log_bookkeeping(TcLogRecord::Abort { txn });
+        // A transaction that logged nothing (it only read, or only
+        // forwarded to other shards) has nothing to resolve in the log.
+        if st.lock().first_lsn.is_some() {
+            if part_of.is_some() {
+                self.log_bookkeeping(TcLogRecord::ParticipantAbort { txn });
+            } else {
+                self.log_bookkeeping(TcLogRecord::Abort { txn });
+            }
+            self.force_and_publish();
         }
-        self.force_and_publish();
         self.locks.unlock_all(Self::token(txn));
         obs::close_span(st.lock().span, "tc.txn");
         TcStats::bump(&self.stats.aborts);
@@ -1247,16 +1261,13 @@ impl Tc {
             let reply = self.session.checkpoint(dc, target)?;
             granted = granted.min(reply.unwrap_or(self.rssp()));
         }
-        let active: Vec<TxnId> = self.txns.lock().keys().copied().collect();
-        let rec = TcLogRecord::Checkpoint {
-            rssp: granted,
-            active: active.clone(),
-        };
-        self.log_bookkeeping(rec);
+        self.log_bookkeeping(TcLogRecord::Checkpoint { rssp: granted });
         self.force_log();
         self.rssp.store(granted.0, Ordering::Relaxed);
         // Truncation floor: redo needs ≥ RSSP, undo needs every record of
-        // a still-active transaction, and replication needs everything a
+        // a still-active transaction (from its first, see
+        // `Tc::enter_log`; one that logged nothing needs none), and
+        // replication needs everything a
         // registered replica has not durably consumed (plus buffered
         // operations of transactions whose outcome is not yet shipped) —
         // a replica that reboots, or a TC that reboots and rebuilds its
@@ -1265,7 +1276,7 @@ impl Tc {
             .txns
             .lock()
             .values()
-            .map(|st| st.lock().first_lsn)
+            .filter_map(|st| st.lock().first_lsn)
             .min()
             .unwrap_or(granted);
         let mut keep_from = granted.min(oldest_active);
@@ -1352,6 +1363,7 @@ impl Tc {
     /// can surface dirty data.
     fn replica_or_snapshot_read(
         &self,
+        txn: TxnId,
         table: TableId,
         key: Key,
         required: Lsn,
@@ -1382,7 +1394,7 @@ impl Tc {
         // it sees every commit the replica path could have seen, but —
         // unlike the instant S lock this path once took — it never
         // queues behind a writer's X lock.
-        self.snapshot_read_at(table, key, self.log.stable())
+        self.read_flavor(txn, table, key, ReadFlavor::Snapshot(self.log.stable()))
     }
 
     /// Failover: promote read-only replica `new` to writable primary for
@@ -1543,7 +1555,7 @@ impl Tc {
         lsn
     }
 
-    /// Append a bookkeeping record (Begin/Commit/Abort/Checkpoint),
+    /// Append a bookkeeping record (Commit/Abort/Prepare/Checkpoint/…),
     /// atomically w.r.t. LWM computation.
     pub(crate) fn log_bookkeeping(&self, rec: TcLogRecord) -> Lsn {
         let _g = self.alloc.lock();

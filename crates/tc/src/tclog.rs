@@ -11,6 +11,10 @@
 //! before their LSNs are drawn, so replaying the log in LSN order
 //! reproduces every conflict in its original order even though
 //! non-conflicting operations may have executed out of LSN order.
+//!
+//! A transaction enters the log with its first `Op` (or, for a 2PC
+//! branch that only read, its `Prepare`); one that never writes never
+//! enters it at all.
 
 use std::sync::Arc;
 use unbundled_core::{DcId, LogicalOp, Lsn, TcId, TxnId};
@@ -19,11 +23,6 @@ use unbundled_storage::LogStore;
 /// One TC-log record.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TcLogRecord {
-    /// Transaction start.
-    Begin {
-        /// Starting transaction.
-        txn: TxnId,
-    },
     /// A logged logical operation (LSN = its sequence number).
     Op {
         /// Owning transaction.
@@ -99,13 +98,11 @@ pub enum TcLogRecord {
         /// Aborted transaction.
         txn: TxnId,
     },
-    /// Checkpoint: redo scan start point + active transactions at the
-    /// time (contract termination, Section 4.2).
+    /// Checkpoint: the granted redo scan start point (contract
+    /// termination, Section 4.2).
     Checkpoint {
         /// Granted redo scan start point.
         rssp: Lsn,
-        /// Transactions active at checkpoint time.
-        active: Vec<TxnId>,
     },
     /// Failover promotion: replica `new` replaced deposed primary `old`
     /// as the writable primary of its partition. Everything below
@@ -191,8 +188,7 @@ impl TcLogRecord {
     /// The transaction this record belongs to, if any.
     pub fn txn(&self) -> Option<TxnId> {
         match self {
-            TcLogRecord::Begin { txn }
-            | TcLogRecord::Op { txn, .. }
+            TcLogRecord::Op { txn, .. }
             | TcLogRecord::RedoOnly { txn, .. }
             | TcLogRecord::Commit { txn }
             | TcLogRecord::Abort { txn }
@@ -211,21 +207,21 @@ impl TcLogRecord {
     /// Approximate encoded size (log-space accounting).
     pub fn encoded_size(&self) -> usize {
         match self {
-            TcLogRecord::Begin { .. } | TcLogRecord::Commit { .. } | TcLogRecord::Abort { .. } => {
-                17
-            }
+            TcLogRecord::Commit { .. }
+            | TcLogRecord::Abort { .. }
+            | TcLogRecord::Checkpoint { .. }
+            | TcLogRecord::ParticipantCommit { .. }
+            | TcLogRecord::ParticipantAbort { .. } => 17,
             TcLogRecord::Op { op, undo, .. } => {
                 19 + op_size(op) + undo.as_ref().map(op_size).unwrap_or(0)
             }
             TcLogRecord::RedoOnly { op, .. } => 19 + op_size(op),
-            TcLogRecord::Checkpoint { active, .. } => 17 + 8 * active.len(),
             TcLogRecord::Promote { .. } => 21,
             TcLogRecord::PromoteIntent { .. } => 13,
             TcLogRecord::RebalanceIntent { .. } => 27,
             TcLogRecord::RebalanceDone { .. } => 35,
             TcLogRecord::Prepare { .. } => 27,
             TcLogRecord::CommitDecision { participants, .. } => 17 + 2 * participants.len(),
-            TcLogRecord::ParticipantCommit { .. } | TcLogRecord::ParticipantAbort { .. } => 17,
         }
     }
 }
@@ -277,7 +273,7 @@ mod tests {
     #[test]
     fn append_force_crash_semantics() {
         let h = TcLogHandle::new(Arc::new(LogStore::new()));
-        let l1 = h.append(TcLogRecord::Begin { txn: TxnId(1) });
+        let l1 = h.append(TcLogRecord::Checkpoint { rssp: Lsn(1) });
         assert_eq!(l1, Lsn(1));
         assert_eq!(h.stable(), Lsn(0));
         assert_eq!(h.force(), Lsn(1));
@@ -310,14 +306,8 @@ mod tests {
 
     #[test]
     fn txn_extraction() {
-        assert_eq!(TcLogRecord::Begin { txn: TxnId(3) }.txn(), Some(TxnId(3)));
-        assert_eq!(
-            TcLogRecord::Checkpoint {
-                rssp: Lsn(1),
-                active: vec![]
-            }
-            .txn(),
-            None
-        );
+        assert_eq!(TcLogRecord::Abort { txn: TxnId(3) }.txn(), Some(TxnId(3)));
+        assert_eq!(TcLogRecord::Checkpoint { rssp: Lsn(1) }.txn(), None);
+        assert_eq!(TcLogRecord::Checkpoint { rssp: Lsn(1) }.encoded_size(), 17);
     }
 }

@@ -367,6 +367,10 @@ impl Tc {
             Ok(s) => s,
             Err(_) => return false,
         };
+        // A branch opened only by `remote_read` logged nothing so far:
+        // its Prepare is its first record and must pin truncation until
+        // the decision resolves it.
+        self.enter_log(&st);
         let lsn = self.log_bookkeeping(TcLogRecord::Prepare {
             txn: local,
             coord,
@@ -528,6 +532,9 @@ impl Tc {
         let st = self.txn_state(txn)?;
         let mut participants: Vec<TcId> = st.lock().remotes.iter().copied().collect();
         participants.sort();
+        // A coordinator that only forwarded enters the log here; the
+        // floor covers the decision until `pending_decisions` pins it.
+        self.enter_log(&st);
         let lsn = self.log_bookkeeping(TcLogRecord::CommitDecision {
             txn,
             participants: participants.clone(),
@@ -686,21 +693,18 @@ impl Tc {
             .collect();
         let st = TxnState {
             id: local,
-            first_lsn,
+            first_lsn: Some(first_lsn),
             undo: chain
                 .iter()
                 .map(|(_, dc, inv)| (*dc, inv.clone()))
                 .collect(),
             touched: chain.iter().map(|(_, dc, _)| *dc).collect(),
-            cache: HashMap::new(),
             writes,
-            snapshot: None,
-            remotes: HashSet::new(),
             part_of: Some((coord, gtxn)),
             prepared: true,
             shard_points,
             span: obs::open_span("tc.txn", "txn", local.0),
-            lock_wait_ns: 0,
+            ..TxnState::default()
         };
         self.txns.lock().insert(local, Arc::new(Mutex::new(st)));
         self.participants.lock().insert((coord, gtxn), local);

@@ -12,7 +12,7 @@
 //! ```
 
 use std::time::Instant;
-use unbundled::core::ReadFlavor;
+use unbundled::core::ReadConsistency;
 use unbundled::kernel::harness::ops_per_sec;
 use unbundled::kernel::scenarios::{MovieSite, TC_EVEN};
 use unbundled::kernel::TransportKind;
@@ -52,7 +52,7 @@ fn main() {
     let mut read = 0u64;
     for m in 0..100u64 {
         read += site
-            .w1_reviews_for_movie(m, ReadFlavor::Committed)
+            .w1_reviews_for_movie(m, ReadConsistency::Committed)
             .unwrap()
             .len() as u64;
     }
@@ -74,7 +74,7 @@ fn main() {
         .unwrap();
     println!(
         "after TC1 crash+recovery movie 3 has {} reviews",
-        site.w1_reviews_for_movie(3, ReadFlavor::Committed)
+        site.w1_reviews_for_movie(3, ReadConsistency::Committed)
             .unwrap()
             .len()
     );

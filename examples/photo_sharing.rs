@@ -153,28 +153,23 @@ fn main() {
         stats.replica_reads, stats.replica_read_fallbacks, stats.ship_batches, stats.ship_records
     );
 
+    // Index lookups are unlocked scans of the custom DCs' virtual views
+    // inside a transaction that only reads, and so logs nothing.
+    let search = |table: TableId, from: Key| {
+        let txn = tc.begin().unwrap();
+        let hits = tc
+            .scan_with(txn, table, from, None, None, ReadConsistency::Dirty)
+            .unwrap();
+        tc.commit(txn).unwrap();
+        hits
+    };
+
     // Text search via the virtual term view of the text DC.
-    let hits = tc
-        .scan_unlocked(
-            REVIEW_TERMS,
-            Key::from_str_key("golden"),
-            None,
-            None,
-            ReadFlavor::Latest,
-        )
-        .unwrap();
+    let hits = search(REVIEW_TERMS, Key::from_str_key("golden"));
     println!("text search 'golden' → {} reviews", hits.len());
 
     // Spatial search: both photos fall into grid cell (1, 0).
-    let near = tc
-        .scan_unlocked(
-            SHAPE_CELLS,
-            Key::from_pair(1, 0),
-            None,
-            None,
-            ReadFlavor::Latest,
-        )
-        .unwrap();
+    let near = search(SHAPE_CELLS, Key::from_pair(1, 0));
     println!("spatial cell (1,0) → {} shapes (same object!)", near.len());
 
     // An aborted upload leaves no trace in any store — the TC drives
@@ -190,15 +185,7 @@ fn main() {
     )
     .unwrap();
     tc.abort(txn).unwrap();
-    let hits = tc
-        .scan_unlocked(
-            REVIEW_TERMS,
-            Key::from_str_key("golden"),
-            None,
-            None,
-            ReadFlavor::Latest,
-        )
-        .unwrap();
+    let hits = search(REVIEW_TERMS, Key::from_str_key("golden"));
     println!(
         "after abort, 'golden' still → {} reviews (unchanged)",
         hits.len()
@@ -206,7 +193,11 @@ fn main() {
 
     // Direct probe of exactly-once behaviour on the custom DC: resend a
     // logical operation verbatim; the per-TC abstract LSN suppresses it.
-    let probe = tc.read_dirty(REVIEWS, Key::from_u64(100)).unwrap();
+    let txn = tc.begin().unwrap();
+    let probe = tc
+        .read(txn, REVIEWS, Key::from_u64(100), ReadConsistency::Dirty)
+        .unwrap();
+    tc.commit(txn).unwrap();
     assert!(probe.is_some());
     let _ = (
         RequestId::Read(0),

@@ -32,6 +32,15 @@ fn two_dcs() -> Deployment {
     d
 }
 
+/// One lock-free point read at `how` in a transaction of its own (a
+/// transaction that only reads logs nothing).
+fn read_once(tc: &Tc, table: TableId, key: Key, how: ReadConsistency) -> Option<Vec<u8>> {
+    let t = tc.begin().unwrap();
+    let v = tc.read(t, table, key, how).unwrap();
+    tc.commit(t).unwrap();
+    v
+}
+
 #[test]
 fn multi_dc_transaction_commits_atomically_without_2pc() {
     let d = two_dcs();
@@ -65,8 +74,14 @@ fn multi_dc_abort_undoes_on_both_dcs() {
     tc.insert(txn, T, Key::from_u64(9), b"a".to_vec()).unwrap();
     tc.insert(txn, T2, Key::from_u64(9), b"b".to_vec()).unwrap();
     tc.abort(txn).unwrap();
-    assert_eq!(tc.read_dirty(T, Key::from_u64(9)).unwrap(), None);
-    assert_eq!(tc.read_dirty(T2, Key::from_u64(9)).unwrap(), None);
+    assert_eq!(
+        read_once(&tc, T, Key::from_u64(9), ReadConsistency::Dirty),
+        None
+    );
+    assert_eq!(
+        read_once(&tc, T2, Key::from_u64(9), ReadConsistency::Dirty),
+        None
+    );
 }
 
 #[test]
@@ -223,11 +238,14 @@ fn dirty_read_sees_uncommitted_plain_writes() {
         .unwrap();
     // Section 6.2.1: dirty reads need no locks and no versioning support.
     assert_eq!(
-        tc.read_dirty(T, Key::from_u64(1)).unwrap(),
+        read_once(&tc, T, Key::from_u64(1), ReadConsistency::Dirty),
         Some(b"dirty".to_vec())
     );
     tc.abort(txn).unwrap();
-    assert_eq!(tc.read_dirty(T, Key::from_u64(1)).unwrap(), None);
+    assert_eq!(
+        read_once(&tc, T, Key::from_u64(1), ReadConsistency::Dirty),
+        None
+    );
 }
 
 #[test]
@@ -588,7 +606,7 @@ fn lwm_never_exceeds_lowest_unacked_op_of_a_partially_acked_batch() {
     );
     server.create_table(TableSpec::plain(T, "t"));
     let tracker = AckTracker::new();
-    tracker.bookkeeping(Lsn(1)); // Begin
+    tracker.bookkeeping(Lsn(1)); // Checkpoint
     let ops: Vec<(RequestId, LogicalOp)> = (2..=4u64)
         .map(|l| {
             tracker.sent(Lsn(l));
@@ -663,7 +681,7 @@ fn read_committed_roundtrip_on_shared_deployment() {
         })
     };
     while !writer.is_finished() {
-        if let Some(v) = tc.read_committed(T, Key::from_u64(1)).unwrap() {
+        if let Some(v) = read_once(&tc, T, Key::from_u64(1), ReadConsistency::Committed) {
             let s = String::from_utf8(v).unwrap();
             assert!(
                 s.starts_with("committed-"),
@@ -675,9 +693,7 @@ fn read_committed_roundtrip_on_shared_deployment() {
     // The concurrent polls above are best-effort (the writer may finish
     // before this thread ever observes a version); the final committed
     // version must be visible unconditionally.
-    let last = tc
-        .read_committed(T, Key::from_u64(1))
-        .unwrap()
+    let last = read_once(&tc, T, Key::from_u64(1), ReadConsistency::Committed)
         .expect("final version visible");
     assert_eq!(last, b"committed-49".to_vec());
 }
@@ -717,7 +733,12 @@ fn reply_of_the_wrong_shape_fails_the_operation_instead_of_panicking() {
         Key::from_u64(1),
         ReadConsistency::Locking
     )));
-    assert!(wrong_shape(tc.read_dirty(T, Key::from_u64(1))));
+    assert!(wrong_shape(tc.read(
+        t,
+        T,
+        Key::from_u64(1),
+        ReadConsistency::Dirty
+    )));
     assert!(wrong_shape(
         tc.scan(t, T, Key::empty(), None, None).map(|_| None)
     ));

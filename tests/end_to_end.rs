@@ -4,7 +4,7 @@
 use unbundled::core::{DcId, Key, TableId, TableSpec, TcError, TcId};
 use unbundled::dc::DcConfig;
 use unbundled::kernel::{single, Deployment, FaultModel, TransportKind};
-use unbundled::tc::{RangePartitioner, ReadConsistency, ScanProtocol, TcConfig};
+use unbundled::tc::{RangePartitioner, ReadConsistency, ScanProtocol, SnapshotSpec, Tc, TcConfig};
 
 const T: TableId = TableId(1);
 
@@ -15,6 +15,15 @@ fn basic(kind: TransportKind) -> Deployment {
         kind,
         &[TableSpec::plain(T, "t")],
     )
+}
+
+/// One lock-free point read at `how` in a transaction of its own (a
+/// transaction that only reads logs nothing).
+fn read_once(tc: &Tc, table: TableId, key: Key, how: ReadConsistency) -> Option<Vec<u8>> {
+    let t = tc.begin().unwrap();
+    let v = tc.read(t, table, key, how).unwrap();
+    tc.commit(t).unwrap();
+    v
 }
 
 #[test]
@@ -477,7 +486,7 @@ fn works_across_queued_transport_with_delay() {
     tc.insert(t, T, Key::from_u64(1), b"v".to_vec()).unwrap();
     tc.commit(t).unwrap();
     assert_eq!(
-        tc.read_dirty(T, Key::from_u64(1)).unwrap(),
+        read_once(&tc, T, Key::from_u64(1), ReadConsistency::Dirty),
         Some(b"v".to_vec())
     );
 }
@@ -531,16 +540,16 @@ fn versioned_sharing_read_committed_vs_dirty() {
         .unwrap();
     // Readers never block; committed sees v1, dirty sees v2.
     assert_eq!(
-        tc.read_committed(T, Key::from_u64(1)).unwrap(),
+        read_once(&tc, T, Key::from_u64(1), ReadConsistency::Committed),
         Some(b"v1".to_vec())
     );
     assert_eq!(
-        tc.read_dirty(T, Key::from_u64(1)).unwrap(),
+        read_once(&tc, T, Key::from_u64(1), ReadConsistency::Dirty),
         Some(b"v2-pending".to_vec())
     );
     tc.commit(t1).unwrap();
     assert_eq!(
-        tc.read_committed(T, Key::from_u64(1)).unwrap(),
+        read_once(&tc, T, Key::from_u64(1), ReadConsistency::Committed),
         Some(b"v2-pending".to_vec())
     );
     // Abort path restores the committed version.
@@ -549,8 +558,68 @@ fn versioned_sharing_read_committed_vs_dirty() {
         .unwrap();
     tc.abort(t2).unwrap();
     assert_eq!(
-        tc.read_committed(T, Key::from_u64(1)).unwrap(),
+        read_once(&tc, T, Key::from_u64(1), ReadConsistency::Committed),
         Some(b"v2-pending".to_vec())
+    );
+}
+
+#[test]
+fn scan_with_serves_each_level_from_the_flavor_it_names() {
+    let d = single(
+        TcConfig::default(),
+        DcConfig::default(),
+        TransportKind::Inline,
+        &[TableSpec::plain(T, "t")],
+    );
+    let tc = d.tc(TcId(1));
+    let t0 = tc.begin().unwrap();
+    for k in 1..=3u64 {
+        tc.insert(t0, T, Key::from_u64(k), b"old".to_vec()).unwrap();
+    }
+    tc.commit(t0).unwrap();
+    // A writer holds key 2's X lock with an uncommitted update and an
+    // uncommitted insert of key 4.
+    let w = tc.begin().unwrap();
+    tc.update(w, T, Key::from_u64(2), b"new".to_vec()).unwrap();
+    tc.insert(w, T, Key::from_u64(4), b"new".to_vec()).unwrap();
+    let scan = |how| {
+        let t = tc.begin().unwrap();
+        let rows = tc
+            .scan_with(t, T, Key::from_u64(1), None, Some(10), how)
+            .unwrap();
+        tc.commit(t).unwrap();
+        rows.into_iter()
+            .map(|(k, v)| (k.as_u64().unwrap(), v))
+            .collect::<Vec<_>>()
+    };
+    let committed = vec![
+        (1, b"old".to_vec()),
+        (2, b"old".to_vec()),
+        (3, b"old".to_vec()),
+    ];
+    // No level but `Locking` waits for the writer's lock.
+    for how in [
+        ReadConsistency::Committed,
+        ReadConsistency::Snapshot(SnapshotSpec::Fresh),
+        ReadConsistency::BoundedLag(0),
+        ReadConsistency::AtLeast(tc.log_handle().stable()),
+    ] {
+        assert_eq!(scan(how), committed, "{how:?}");
+    }
+    assert_eq!(
+        scan(ReadConsistency::Dirty),
+        vec![
+            (1, b"old".to_vec()),
+            (2, b"new".to_vec()),
+            (3, b"old".to_vec()),
+            (4, b"new".to_vec()),
+        ]
+    );
+    tc.commit(w).unwrap();
+    assert_eq!(scan(ReadConsistency::Locking).len(), 4);
+    assert_eq!(
+        scan(ReadConsistency::Committed),
+        scan(ReadConsistency::Dirty)
     );
 }
 

@@ -1,7 +1,7 @@
 //! The paper's Figure 2 / Section 6.3 cloud scenario, end to end:
 //! partitioned TCs and DCs, workloads W1–W4, sharing without 2PC.
 
-use unbundled::core::ReadFlavor;
+use unbundled::core::ReadConsistency;
 use unbundled::kernel::scenarios::{MovieSite, DC_MOVIES_LOW, DC_USERS, TC_EVEN, TC_ODD};
 use unbundled::kernel::TransportKind;
 
@@ -18,7 +18,9 @@ fn w2_add_review_spans_two_dcs_without_2pc() {
     s.w2_add_review(4, 7, b"greatest bridge movie ever")
         .unwrap();
     // The review is clustered with its movie (W1 path, DC1)…
-    let reviews = s.w1_reviews_for_movie(7, ReadFlavor::Committed).unwrap();
+    let reviews = s
+        .w1_reviews_for_movie(7, ReadConsistency::Committed)
+        .unwrap();
     assert_eq!(reviews.len(), 1);
     assert_eq!(reviews[0].0, 4, "review by user 4");
     // …and with its user (W4 path, DC3).
@@ -41,7 +43,9 @@ fn w1_reads_cluster_on_a_single_dc() {
         .stats()
         .snapshot()
         .reads;
-    let reviews = s.w1_reviews_for_movie(3, ReadFlavor::Committed).unwrap();
+    let reviews = s
+        .w1_reviews_for_movie(3, ReadConsistency::Committed)
+        .unwrap();
     assert_eq!(reviews.len(), 6);
     let low_reads_after = s
         .deployment
@@ -54,7 +58,8 @@ fn w1_reads_cluster_on_a_single_dc() {
     // Clustered access: the user DC was not touched by W1.
     let user_dc_reads = s.deployment.dc(DC_USERS).engine().stats().snapshot().reads;
     let before_w1 = user_dc_reads;
-    s.w1_reviews_for_movie(3, ReadFlavor::Committed).unwrap();
+    s.w1_reviews_for_movie(3, ReadConsistency::Committed)
+        .unwrap();
     assert_eq!(
         s.deployment.dc(DC_USERS).engine().stats().snapshot().reads,
         before_w1,
@@ -87,13 +92,17 @@ fn readers_never_block_on_uncommitted_reviews() {
     )
     .unwrap();
     // Read-committed sees the old version, immediately, no blocking.
-    let rc = s.w1_reviews_for_movie(5, ReadFlavor::Committed).unwrap();
+    let rc = s
+        .w1_reviews_for_movie(5, ReadConsistency::Committed)
+        .unwrap();
     assert_eq!(rc[0].1, b"committed review".to_vec());
     // Dirty read sees the uncommitted edit (Section 6.2.1).
-    let dirty = s.w1_reviews_for_movie(5, ReadFlavor::Latest).unwrap();
+    let dirty = s.w1_reviews_for_movie(5, ReadConsistency::Dirty).unwrap();
     assert_eq!(dirty[0].1, b"uncommitted edit".to_vec());
     tc.commit(txn).unwrap();
-    let rc = s.w1_reviews_for_movie(5, ReadFlavor::Committed).unwrap();
+    let rc = s
+        .w1_reviews_for_movie(5, ReadConsistency::Committed)
+        .unwrap();
     assert_eq!(rc[0].1, b"uncommitted edit".to_vec());
 }
 
@@ -118,7 +127,7 @@ fn abort_of_review_leaves_no_trace_anywhere() {
     .unwrap();
     tc.abort(txn).unwrap();
     assert!(s
-        .w1_reviews_for_movie(9, ReadFlavor::Committed)
+        .w1_reviews_for_movie(9, ReadConsistency::Committed)
         .unwrap()
         .is_empty());
     assert!(s.w4_reviews_by_user(2).unwrap().is_empty());
@@ -144,15 +153,19 @@ fn updating_tc_crash_does_not_disturb_other_tc() {
     s.w2_add_review(3, 2, b"odd user unaffected").unwrap();
     s.deployment.reboot_tc(TC_EVEN);
     // The lost uncommitted review is gone; all committed ones survive.
-    let m1 = s.w1_reviews_for_movie(1, ReadFlavor::Committed).unwrap();
+    let m1 = s
+        .w1_reviews_for_movie(1, ReadConsistency::Committed)
+        .unwrap();
     assert_eq!(m1.len(), 2);
-    let m2 = s.w1_reviews_for_movie(2, ReadFlavor::Committed).unwrap();
+    let m2 = s
+        .w1_reviews_for_movie(2, ReadConsistency::Committed)
+        .unwrap();
     assert_eq!(m2.len(), 1);
     assert_eq!(m2[0].0, 3);
     // And the rebooted TC works again.
     s.w2_add_review(0, 2, b"even user back").unwrap();
     assert_eq!(
-        s.w1_reviews_for_movie(2, ReadFlavor::Committed)
+        s.w1_reviews_for_movie(2, ReadConsistency::Committed)
             .unwrap()
             .len(),
         2
@@ -167,7 +180,9 @@ fn movie_dc_crash_recovers_with_both_writers() {
     }
     s.deployment.crash_dc(DC_MOVIES_LOW);
     s.deployment.reboot_dc(DC_MOVIES_LOW);
-    let reviews = s.w1_reviews_for_movie(0, ReadFlavor::Committed).unwrap();
+    let reviews = s
+        .w1_reviews_for_movie(0, ReadConsistency::Committed)
+        .unwrap();
     assert_eq!(reviews.len(), 4, "all four reviews recovered");
     // Both TCs drove redo on the shared DC.
     assert_eq!(s.deployment.tc(TC_EVEN).stats().snapshot().dc_recoveries, 1);

@@ -17,13 +17,18 @@
 //!   rebooted participant finds the coordinator mid-commit, parks the
 //!   branch in-doubt with its locks re-acquired, and resolves it when
 //!   the decision arrives.
+//!
+//! Both crash cases also carry a branch opened only by a forwarded
+//! read: it logs nothing until its Prepare, which recovery must treat
+//! as the branch's first record.
 
 use std::time::Duration;
 use unbundled::core::{DcId, Key, TableId, TableSpec, TcId, TcShardMap};
 use unbundled::dc::DcConfig;
 use unbundled::kernel::{Deployment, TransportKind};
 use unbundled::tc::{
-    GatherWindow, GroupCommitCfg, ReadConsistency, SnapshotSpec, TableRoute, TcConfig,
+    GatherWindow, GroupCommitCfg, ReadConsistency, SnapshotSpec, TableRoute, Tc, TcConfig,
+    TcLogRecord,
 };
 
 const T: TableId = TableId(1);
@@ -39,6 +44,11 @@ fn low_key() -> Key {
 /// A key owned by shard 2.
 fn high_key() -> Key {
     Key::from_u64(u64::MAX / 2 + 1000)
+}
+
+/// Another key owned by shard 2, only ever read by the coordinator.
+fn read_key() -> Key {
+    Key::from_u64(u64::MAX / 2 + 2000)
 }
 
 /// Two TC shards (key space split evenly), each owning one DC, group
@@ -79,6 +89,30 @@ fn cross_txn(d: &Deployment) -> unbundled::core::TxnId {
     txn
 }
 
+/// Begin a transaction at shard 1 whose only operation is a locking
+/// read of a shard-2 key, and prepare it: the participant branch logs
+/// nothing until its forced Prepare, and the coordinator nothing at
+/// all. Returns its id.
+fn prepared_read_only_branch(d: &Deployment) -> unbundled::core::TxnId {
+    let tc1 = d.tc(TcId(1));
+    let txn = tc1.begin().expect("begin");
+    tc1.read(txn, T, read_key(), ReadConsistency::Locking)
+        .expect("forwarded read");
+    let log2 = d.tc_log(TcId(2));
+    let from = log2.last_seq();
+    assert_eq!(
+        tc1.twopc_prepare(txn),
+        Ok(true),
+        "read-only branch votes yes"
+    );
+    let records: Vec<_> = log2.read_range(from + 1, log2.last_seq());
+    assert!(
+        matches!(records.as_slice(), [(_, TcLogRecord::Prepare { .. })]),
+        "the branch's first record is its Prepare: {records:?}"
+    );
+    txn
+}
+
 /// Read `key` through the owning shard in a fresh transaction.
 fn read_via(d: &Deployment, tc: TcId, key: Key) -> Option<Vec<u8>> {
     let t = d.tc(tc);
@@ -102,7 +136,7 @@ fn assert_quiesced(d: &Deployment, ctx: &str) {
     }
     let tc1 = d.tc(TcId(1));
     let probe = tc1.begin().expect("begin lock probe");
-    for key in [low_key(), high_key()] {
+    for key in [low_key(), high_key(), read_key()] {
         // Take the X lock (insert or update, whichever applies): a
         // leaked lock from the crashed transaction would time this out.
         let cur = tc1
@@ -117,18 +151,33 @@ fn assert_quiesced(d: &Deployment, ctx: &str) {
     tc1.abort(probe).expect("abort lock probe");
 }
 
+/// One lock-free point read at `how` in a transaction of its own (a
+/// transaction that only reads logs nothing).
+fn read_once(tc: &Tc, table: TableId, key: Key, how: ReadConsistency) -> Option<Vec<u8>> {
+    let t = tc.begin().unwrap();
+    let v = tc.read(t, table, key, how).unwrap();
+    tc.commit(t).unwrap();
+    v
+}
+
 #[test]
 fn coordinator_crash_after_prepare_presumes_abort() {
     let d = sharded_deployment();
     let txn = cross_txn(&d);
     let tc1 = d.tc(TcId(1));
     assert_eq!(tc1.twopc_prepare(txn), Ok(true), "participant votes yes");
+    prepared_read_only_branch(&d);
     // Crash both shards before any decision exists. Reboot the
     // participant FIRST: its coordinator is still down, but presumed
     // abort needs no live coordinator — no stable decision means abort.
     d.crash_tc(TcId(1));
     d.crash_tc(TcId(2));
     d.reboot_tc(TcId(2));
+    assert_eq!(
+        d.tc(TcId(2)).indoubt_branches(),
+        0,
+        "both branches, the read-only one included, presume abort"
+    );
     d.reboot_tc(TcId(1));
     assert_eq!(read_via(&d, TcId(1), low_key()), None, "dirty local write");
     assert_eq!(
@@ -177,14 +226,19 @@ fn participant_crash_between_prepare_and_decision_parks_then_resolves() {
     let txn = cross_txn(&d);
     let tc1 = d.tc(TcId(1));
     assert_eq!(tc1.twopc_prepare(txn), Ok(true));
+    let reader = prepared_read_only_branch(&d);
     // The participant loses its volatile state while the coordinator is
     // alive and still mid-commit: the rebooted participant must park the
-    // branch in-doubt (it cannot presume abort — the coordinator may yet
-    // commit) and re-acquire its locks.
+    // branches in-doubt (it cannot presume abort — the coordinator may
+    // yet commit) and re-acquire the writing branch's locks.
     d.crash_tc(TcId(2));
     d.reboot_tc(TcId(2));
     let tc2 = d.tc(TcId(2));
-    assert_eq!(tc2.indoubt_branches(), 1, "branch must park in-doubt");
+    assert_eq!(
+        tc2.indoubt_branches(),
+        2,
+        "both branches must park in-doubt"
+    );
     // The re-acquired lock blocks conflicting access to the in-doubt
     // write.
     let blocked = tc2.begin().expect("begin conflicting txn");
@@ -196,6 +250,11 @@ fn participant_crash_between_prepare_and_decision_parks_then_resolves() {
     // The coordinator completes phase two; the parked branch commits.
     tc1.twopc_log_decision(txn).expect("decision");
     tc1.twopc_finish(txn).expect("broadcast + local finish");
+    assert_eq!(tc2.indoubt_branches(), 1, "decision resolves the park");
+    // The read-only transaction's coordinator enters its log with the
+    // decision itself.
+    tc1.twopc_log_decision(reader).expect("read-only decision");
+    tc1.twopc_finish(reader).expect("read-only finish");
     assert_eq!(tc2.indoubt_branches(), 0, "decision resolves the park");
     assert_eq!(
         read_via(&d, TcId(2), high_key()).as_deref(),
@@ -236,7 +295,7 @@ fn parked_versioned_branch_is_committed_and_stamped_by_the_late_decision() {
         "in-doubt versioned write must still hold its X lock"
     );
     assert_eq!(
-        tc2.read_committed(V, high_key()).expect("read committed"),
+        read_once(&tc2, V, high_key(), ReadConsistency::Committed),
         Some(b"v0".to_vec())
     );
     tc1.twopc_log_decision(txn).expect("decision");
@@ -245,11 +304,11 @@ fn parked_versioned_branch_is_committed_and_stamped_by_the_late_decision() {
     // The late decision stamped the branch's version: read-committed and
     // snapshot readers both see it.
     assert_eq!(
-        tc2.read_committed(V, high_key()).expect("read committed"),
+        read_once(&tc2, V, high_key(), ReadConsistency::Committed),
         Some(b"remote".to_vec())
     );
     assert_eq!(
-        tc1.read_committed(V, low_key()).expect("read committed"),
+        read_once(&tc1, V, low_key(), ReadConsistency::Committed),
         Some(b"local".to_vec())
     );
     let probe = tc2.begin().expect("begin snapshot probe");

@@ -82,8 +82,17 @@ impl DataComponentApi for StampDropDc {
     }
 }
 
+/// One lock-free point read at `how` in a transaction of its own (a
+/// transaction that only reads logs nothing).
+fn read_once(tc: &Tc, table: TableId, key: Key, how: ReadConsistency) -> Option<Vec<u8>> {
+    let t = tc.begin().unwrap();
+    let v = tc.read(t, table, key, how).unwrap();
+    tc.commit(t).unwrap();
+    v
+}
+
 #[test]
-fn one_key_versioned_commit_is_four_log_records_and_one_force() {
+fn one_key_versioned_commit_is_three_log_records_and_one_force() {
     let d = shared();
     let tc = d.tc(WRITER);
     commit_versioned(&tc, b"v1");
@@ -96,19 +105,50 @@ fn one_key_versioned_commit_is_four_log_records_and_one_force() {
         .read_range(from + 1, log.last_seq())
         .iter()
         .map(|(_, rec)| match rec {
-            TcLogRecord::Begin { .. } => "begin",
             TcLogRecord::Op { op, .. } | TcLogRecord::RedoOnly { op, .. } => op.name(),
             TcLogRecord::Commit { .. } => "commit",
             _ => "other",
         })
         .collect();
-    assert_eq!(shape, ["begin", "vwrite", "commit", "stamp"]);
-    assert_eq!(delta.log_records, 4);
+    assert_eq!(shape, ["vwrite", "commit", "stamp"]);
+    assert_eq!(delta.log_records, 3);
     assert_eq!(delta.log_forces, 1, "one flush covers commit and stamp");
     assert_eq!(
-        d.tc(READER).read_committed(V, key()).unwrap(),
+        read_once(&d.tc(READER), V, key(), ReadConsistency::Committed),
         Some(b"v2".to_vec())
     );
+
+    // A transaction that only reads, at every level and with a scan,
+    // never enters the log: no record, no force.
+    let before = log.stats().snapshot();
+    let t = tc.begin().unwrap();
+    for how in [
+        ReadConsistency::Locking,
+        ReadConsistency::Snapshot(SnapshotSpec::Pinned),
+        ReadConsistency::Committed,
+        ReadConsistency::Dirty,
+    ] {
+        assert_eq!(
+            tc.read(t, V, key(), how).unwrap(),
+            Some(b"v2".to_vec()),
+            "{how:?}"
+        );
+    }
+    assert_eq!(tc.scan(t, V, Key::empty(), None, None).unwrap().len(), 1);
+    tc.commit(t).unwrap();
+    let delta = log.stats().snapshot().delta(&before);
+    assert_eq!(delta.log_records, 0, "a read-only commit appends nothing");
+    assert_eq!(delta.log_forces, 0, "a read-only commit forces nothing");
+
+    // Aborting a transaction that logged nothing (it holds a lock, but
+    // has nothing to undo) appends and forces nothing either.
+    let before = log.stats().snapshot();
+    let t = tc.begin().unwrap();
+    tc.read(t, V, key(), ReadConsistency::Locking).unwrap();
+    tc.abort(t).unwrap();
+    let delta = log.stats().snapshot().delta(&before);
+    assert_eq!(delta.log_records, 0, "an empty abort appends nothing");
+    assert_eq!(delta.log_forces, 0, "an empty abort forces nothing");
 }
 
 #[test]
@@ -142,22 +182,25 @@ fn tc_crash_between_commit_force_and_stamp_delivery_still_publishes() {
     );
     // Unpublished: committed readers still see the version beneath.
     assert_eq!(
-        reader.read_committed(V, key()).unwrap(),
+        read_once(&reader, V, key(), ReadConsistency::Committed),
         Some(b"v1".to_vec())
     );
-    assert_eq!(reader.read_dirty(V, key()).unwrap(), Some(b"v2".to_vec()));
+    assert_eq!(
+        read_once(&reader, V, key(), ReadConsistency::Dirty),
+        Some(b"v2".to_vec())
+    );
     // The TC dies holding the transaction's locks and reboots over the
     // deployment's ordinary link: redo repeats the logged stamp.
     d.crash_tc(WRITER);
     d.reboot_tc(WRITER);
     assert_eq!(
-        reader.read_committed(V, key()).unwrap(),
+        read_once(&reader, V, key(), ReadConsistency::Committed),
         Some(b"v2".to_vec()),
         "recovery must finish publishing a committed version"
     );
     commit_versioned(&d.tc(WRITER), b"v3");
     assert_eq!(
-        reader.read_committed(V, key()).unwrap(),
+        read_once(&reader, V, key(), ReadConsistency::Committed),
         Some(b"v3".to_vec())
     );
 }
@@ -177,7 +220,6 @@ fn stamps_lost_with_the_log_tail_are_synthesized_from_the_commit_record() {
         value: b"v2".to_vec(),
     };
     for rec in [
-        TcLogRecord::Begin { txn },
         TcLogRecord::Op {
             txn,
             dc: DC,
@@ -194,7 +236,7 @@ fn stamps_lost_with_the_log_tail_are_synthesized_from_the_commit_record() {
     d.reboot_tc(WRITER);
     let reader = d.tc(READER);
     assert_eq!(
-        reader.read_committed(V, key()).unwrap(),
+        read_once(&reader, V, key(), ReadConsistency::Committed),
         Some(b"v2".to_vec()),
         "redo applies the write, stamp synthesis publishes it"
     );
@@ -210,39 +252,90 @@ fn stamps_lost_with_the_log_tail_are_synthesized_from_the_commit_record() {
 }
 
 #[test]
+fn a_stable_op_with_no_resolution_record_is_undone_as_a_loser() {
+    // A transaction enters the log with its first operation — there is
+    // no begin record — so recovery must learn of a loser from its
+    // operations alone. Reproduce a crash that left one stable insert
+    // of an unresolved transaction, and nothing else of it, in the log.
+    let d = shared();
+    let tc = d.tc(WRITER);
+    let t = tc.begin().unwrap();
+    tc.insert(t, P, Key::from_u64(1), b"winner".to_vec())
+        .unwrap();
+    tc.commit(t).unwrap();
+    let log = d.tc_log(WRITER);
+    let txn = TxnId(1_000);
+    let op = LogicalOp::Insert {
+        table: P,
+        key: Key::from_u64(2),
+        value: b"loser".to_vec(),
+    };
+    let rec = TcLogRecord::Op {
+        txn,
+        dc: DC,
+        undo: op.inverse(None),
+        op,
+    };
+    let size = rec.encoded_size();
+    log.append(rec, size);
+    log.force();
+    d.crash_tc(WRITER);
+    d.reboot_tc(WRITER);
+    let tc = d.tc(WRITER);
+    assert_eq!(
+        read_once(&tc, P, Key::from_u64(2), ReadConsistency::Locking),
+        None,
+        "redo repeats the loser's insert, undo must remove it"
+    );
+    assert_eq!(
+        read_once(&tc, P, Key::from_u64(1), ReadConsistency::Locking),
+        Some(b"winner".to_vec())
+    );
+}
+
+#[test]
 fn committed_reads_on_a_plain_table_are_not_dirty() {
     let d = shared();
     let tc = d.tc(WRITER);
     let reader = d.tc(READER);
     let t = tc.begin().unwrap();
     tc.insert(t, P, key(), b"a".to_vec()).unwrap();
-    assert_eq!(reader.read_committed(P, key()).unwrap(), None);
-    assert_eq!(reader.read_dirty(P, key()).unwrap(), Some(b"a".to_vec()));
+    assert_eq!(
+        read_once(&reader, P, key(), ReadConsistency::Committed),
+        None
+    );
+    assert_eq!(
+        read_once(&reader, P, key(), ReadConsistency::Dirty),
+        Some(b"a".to_vec())
+    );
     tc.commit(t).unwrap();
     assert_eq!(
-        reader.read_committed(P, key()).unwrap(),
+        read_once(&reader, P, key(), ReadConsistency::Committed),
         Some(b"a".to_vec())
     );
     // An aborted update and an uncommitted delete stay invisible too.
     let t = tc.begin().unwrap();
     tc.update(t, P, key(), b"doomed".to_vec()).unwrap();
     assert_eq!(
-        reader.read_committed(P, key()).unwrap(),
+        read_once(&reader, P, key(), ReadConsistency::Committed),
         Some(b"a".to_vec())
     );
     tc.abort(t).unwrap();
     assert_eq!(
-        reader.read_committed(P, key()).unwrap(),
+        read_once(&reader, P, key(), ReadConsistency::Committed),
         Some(b"a".to_vec())
     );
     let t = tc.begin().unwrap();
     tc.delete(t, P, key()).unwrap();
     assert_eq!(
-        reader.read_committed(P, key()).unwrap(),
+        read_once(&reader, P, key(), ReadConsistency::Committed),
         Some(b"a".to_vec())
     );
     tc.commit(t).unwrap();
-    assert_eq!(reader.read_committed(P, key()).unwrap(), None);
+    assert_eq!(
+        read_once(&reader, P, key(), ReadConsistency::Committed),
+        None
+    );
 }
 
 #[test]
@@ -258,12 +351,12 @@ fn committed_readers_keep_the_old_owners_version_under_a_new_owners_write() {
         .versioned_write(t, V, key(), b"by-second".to_vec())
         .unwrap();
     assert_eq!(
-        first.read_committed(V, key()).unwrap(),
+        read_once(&first, V, key(), ReadConsistency::Committed),
         Some(b"by-first".to_vec())
     );
     second.abort(t).unwrap();
     assert_eq!(
-        first.read_committed(V, key()).unwrap(),
+        read_once(&first, V, key(), ReadConsistency::Committed),
         Some(b"by-first".to_vec()),
         "the revert lands on the old owner's committed payload"
     );
@@ -273,7 +366,7 @@ fn committed_readers_keep_the_old_owners_version_under_a_new_owners_write() {
         .unwrap();
     second.commit(t).unwrap();
     assert_eq!(
-        first.read_committed(V, key()).unwrap(),
+        read_once(&first, V, key(), ReadConsistency::Committed),
         Some(b"by-second".to_vec())
     );
 }
