@@ -28,7 +28,7 @@ use crate::page::{Page, PageData};
 use crate::pool::{BufferPool, SyncPolicy};
 use crate::stats::DcStats;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,9 +41,6 @@ use unbundled_storage::{LogStore, SimDisk};
 /// Rows produced by a scan walk: `None` values are keys whose record is
 /// invisible under the requested read flavor (kept for key probes).
 type ScanRows = Vec<(Key, Option<Vec<u8>>)>;
-
-/// Per-table delete journal: `key -> (deleter, delete LSN)`.
-type TombMap = HashMap<TableId, HashMap<Key, (TcId, Lsn)>>;
 
 /// How the DC resets cached pages after a TC crash (Section 5.3.2 / 6.1.2).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -117,17 +114,6 @@ pub struct DcEngine {
     lwm: RwLock<Vec<(TcId, Lsn)>>,
     /// SMOs deferred until EOSL coverage.
     pending_smo: Mutex<HashSet<(TableId, PageId)>>,
-    /// Volatile per-table journal of applied deletes that are not yet
-    /// covered by the deleting TC's end-of-stable-log: `key -> (deleter,
-    /// lsn)`. A delete physically removes its record, erasing the per-TC
-    /// ownership tag the selective TC-crash reset keys on — without this
-    /// attribution, a crashed TC's unforced delete of a record last
-    /// written (stably) by *another* TC would silently survive the
-    /// reset, losing an acknowledged commit. Entries whose LSN sinks
-    /// below the deleter's EOSL are pruned: a stable delete re-applies
-    /// during redo replay, so restoring (or not restoring) its victim is
-    /// self-correcting.
-    tombs: Mutex<TombMap>,
     stats: DcStats,
 }
 
@@ -179,7 +165,6 @@ impl DcEngine {
             eosl: RwLock::new(Vec::new()),
             lwm: RwLock::new(Vec::new()),
             pending_smo: Mutex::new(HashSet::new()),
-            tombs: Mutex::new(HashMap::new()),
             stats: DcStats::default(),
         };
         Arc::new(engine)
@@ -235,54 +220,7 @@ impl DcEngine {
     /// retry any structure modifications it unblocks.
     pub fn handle_eosl(&self, tc: TcId, eosl: Lsn) {
         vec_set(&mut self.eosl.write(), tc, eosl);
-        self.prune_tombs(tc, eosl);
         self.retry_pending_smos();
-    }
-
-    /// Record a delete in the volatile attribution journal. A later
-    /// delete of the same key supersedes the entry: only the *latest*
-    /// deletion matters when the selective reset decides whether a
-    /// missing basis record belongs to the crashed TC.
-    fn journal_delete(&self, table: TableId, key: Key, tc: TcId, lsn: Lsn) {
-        self.tombs
-            .lock()
-            .entry(table)
-            .or_default()
-            .insert(key, (tc, lsn));
-    }
-
-    /// Drop journal entries the TC's stable log now covers: a stable
-    /// delete is re-applied by redo replay, so the reset no longer needs
-    /// its attribution.
-    fn prune_tombs(&self, tc: TcId, eosl: Lsn) {
-        let mut tombs = self.tombs.lock();
-        for per_table in tombs.values_mut() {
-            per_table.retain(|_, (t, l)| *t != tc || *l > eosl);
-        }
-        tombs.retain(|_, m| !m.is_empty());
-    }
-
-    /// Keys, per table, whose latest deletion is attributed to `tc` with
-    /// an LSN the TC's stable log does not cover — the selective reset
-    /// must restore these from the stable basis. Consumes the TC's
-    /// entries: the reset undoes (or replay re-applies) the deletes
-    /// either way.
-    pub(crate) fn take_tomb_keys(&self, tc: TcId, stable_end: Lsn) -> HashMap<TableId, Vec<Key>> {
-        let mut tombs = self.tombs.lock();
-        let mut out: HashMap<TableId, Vec<Key>> = HashMap::new();
-        for (table, per_table) in tombs.iter_mut() {
-            let keys: Vec<Key> = per_table
-                .iter()
-                .filter(|(_, (t, l))| *t == tc && *l > stable_end)
-                .map(|(k, _)| k.clone())
-                .collect();
-            if !keys.is_empty() {
-                out.insert(*table, keys);
-            }
-            per_table.retain(|_, (t, _)| *t != tc);
-        }
-        tombs.retain(|_, m| !m.is_empty());
-        out
     }
 
     /// `low_water_mark` handler.
@@ -480,9 +418,6 @@ impl DcEngine {
                         let pruned = rec.gc(floor);
                         DcStats::add(&self.stats.versions_pruned, pruned as u64);
                     }
-                }
-                if matches!(op, LogicalOp::Delete { .. }) {
-                    self.journal_delete(op.table(), key.clone(), tc, lsn);
                 }
 
                 let bytes = leaf.content_bytes();

@@ -26,7 +26,7 @@ use crate::page::{Page, PageData};
 use crate::stats::DcStats;
 use std::collections::HashMap;
 use std::sync::Arc;
-use unbundled_core::{DLsn, DcId, Key, Lsn, PageId, TcId};
+use unbundled_core::{DLsn, DcId, Lsn, PageId, TcId};
 use unbundled_storage::{LogStore, SimDisk};
 
 impl DcEngine {
@@ -209,12 +209,6 @@ impl DcEngine {
                 .collect()
         };
 
-        // Deletes physically remove their record, so the per-record owner
-        // tag cannot attribute them; the volatile journal can. Keys whose
-        // latest deletion belongs to the failed TC beyond its stable log
-        // must be restored from the basis even though the basis record is
-        // owned by another TC.
-        let tombs = self.take_tomb_keys(tc, stable_end);
         for pid in self.pool().cached_ids() {
             let arc = match self.pool().get_cached(pid) {
                 Some(a) => a,
@@ -247,8 +241,7 @@ impl DcEngine {
                     records += n;
                 }
                 ResetMode::Selective => {
-                    let deleted = tombs.get(&page.table).map(|v| v.as_slice()).unwrap_or(&[]);
-                    records += Self::selective_reset(&mut page, &basis, tc, deleted);
+                    records += Self::selective_reset(&mut page, &basis, tc);
                 }
             }
             pages += 1;
@@ -260,8 +253,14 @@ impl DcEngine {
 
     /// Restore `tc`-owned records (and `tc`'s abLSN) in `page` from the
     /// stable `basis`, leaving other TCs' records untouched
-    /// (Section 6.1.2). Returns the number of records touched.
-    fn selective_reset(page: &mut Page, basis: &Page, tc: TcId, deleted: &[Key]) -> u64 {
+    /// (Section 6.1.2). A delete leaves a tombstone owned by the
+    /// deleter, so a lost delete of a record another TC wrote is
+    /// `tc`-owned here and reverts to the basis record like any other
+    /// lost write: GC cannot reclaim the tombstone (its LSN is above
+    /// the deleter's stable end, which bounds the GC floor), and
+    /// causality keeps its page from being flushed or evicted. Returns
+    /// the number of records touched.
+    fn selective_reset(page: &mut Page, basis: &Page, tc: TcId) -> u64 {
         let mut touched = 0u64;
         let basis_entries = basis.leaf_entries();
         // Remove / revert records currently owned by the failed TC.
@@ -278,12 +277,10 @@ impl DcEngine {
                 kept.push((k.clone(), basis_entries[i].1.clone()));
             }
         }
-        // Restore records that exist in the basis but were deleted by
-        // lost operations: records the failed TC owned, plus records the
-        // delete journal attributes to it (a delete erases the in-page
-        // owner tag, and the stable basis may credit another TC).
+        // Restore records the failed TC owned in the basis that are
+        // missing from the page.
         for (bk, brec) in basis_entries {
-            if (brec.owner == tc || deleted.contains(bk))
+            if brec.owner == tc
                 && page.covers(bk)
                 && kept.binary_search_by(|(k, _)| k.cmp(bk)).is_err()
             {

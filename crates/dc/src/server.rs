@@ -202,9 +202,10 @@ impl DcServer {
                 for (lsn, op) in records {
                     match self.engine.perform(tc, RequestId::Op(lsn), &op) {
                         Ok(_) => DcStats::bump(&stats.ship_records_applied),
-                        // Deterministic logical errors are expected from
-                        // compensations whose originals were never
-                        // shipped.
+                        // Nothing that ships should fail: a group holds a
+                        // committed transaction's records, compensations
+                        // included, and a failed operation aborts its
+                        // transaction. Count divergence, keep applying.
                         Err(_) => DcStats::bump(&stats.ship_apply_errors),
                     }
                 }

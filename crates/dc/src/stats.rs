@@ -112,8 +112,10 @@ dc_stats! {
     /// already covered them (duplicated ship batches are idempotent at
     /// group granularity — a group never re-executes on newer state).
     ship_groups_skipped => "dc.ship_groups_skipped", "redelivered groups skipped";
-    /// Shipped records whose replay returned a deterministic logical
-    /// error (e.g. a compensation whose original was never shipped).
+    /// Shipped records whose replay returned a logical error. Only
+    /// committed transactions ship, each with its compensations, and a
+    /// failed operation aborts its transaction — so a count here means
+    /// the replica diverged from its primary.
     ship_apply_errors => "dc.ship_apply_errors", "shipped records replayed to error";
     /// Mutations rejected because this DC is fenced (read-only replica
     /// or deposed primary).

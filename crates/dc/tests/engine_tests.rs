@@ -634,6 +634,84 @@ fn selective_reset_preserves_other_tcs_records() {
 }
 
 #[test]
+fn selective_reset_undoes_a_lost_delete_of_another_tcs_flushed_record() {
+    // A delete leaves a tombstone owned by the deleter, so the owner tag
+    // alone tells the reset whose lost write it is — even when the
+    // record it hides was written, committed and flushed by another TC.
+    let cfg = DcConfig {
+        reset_mode: ResetMode::Selective,
+        ..Default::default()
+    };
+    let fx = Fixture::new(cfg);
+    let tc1 = TcId(1);
+    let tc2 = TcId(2);
+    let perform = |tc: TcId, lsn: u64, op: LogicalOp| {
+        fx.engine.perform(tc, RequestId::Op(Lsn(lsn)), &op).unwrap();
+    };
+    perform(
+        tc1,
+        1,
+        LogicalOp::Insert {
+            table: T,
+            key: Key::from_u64(1),
+            value: b"tc1".to_vec(),
+        },
+    );
+    perform(
+        tc1,
+        2,
+        LogicalOp::StampCommit {
+            table: T,
+            key: Key::from_u64(1),
+            op: Lsn(1),
+            commit: Lsn(2),
+        },
+    );
+    fx.engine.handle_eosl(tc1, Lsn(2));
+    fx.engine.handle_lwm(tc1, Lsn(2));
+    let flushed = fx
+        .engine
+        .pool()
+        .cached_ids()
+        .into_iter()
+        .filter(|pid| fx.engine.flush_page(*pid) == FlushResult::Flushed)
+        .count();
+    assert!(flushed > 0, "TC1's commit is on disk");
+    // TC2 deletes the record; the delete never reaches TC2's stable log.
+    perform(
+        tc2,
+        1,
+        LogicalOp::Delete {
+            table: T,
+            key: Key::from_u64(1),
+        },
+    );
+    let read = |flavor: ReadFlavor| {
+        fx.engine
+            .perform(
+                tc1,
+                RequestId::Read(1),
+                &LogicalOp::Read {
+                    table: T,
+                    key: Key::from_u64(1),
+                    flavor,
+                },
+            )
+            .unwrap()
+    };
+    assert_eq!(read(ReadFlavor::Latest), OpResult::Value(None));
+    let (pages, _) = fx.engine.reset_for_tc(tc2, Lsn::NULL);
+    assert_eq!(pages, 1);
+    for flavor in [ReadFlavor::Latest, ReadFlavor::Committed] {
+        assert_eq!(
+            read(flavor),
+            OpResult::Value(Some(b"tc1".to_vec())),
+            "{flavor:?}"
+        );
+    }
+}
+
+#[test]
 fn eviction_respects_pool_capacity() {
     let mut cfg = Fixture::small_pages();
     cfg.pool_capacity = 4;

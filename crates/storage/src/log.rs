@@ -524,6 +524,26 @@ impl<R: Clone> LogStore<R> {
         g.base + g.records.len() as u64
     }
 
+    /// Append a group of records under one hold of the log mutex.
+    /// `build` receives the sequence number the group's first record
+    /// gets and returns the records with their encoded sizes; records
+    /// may name positions inside their own group. Every flush snapshots
+    /// the log under the same mutex, and a crash truncates to a flushed
+    /// snapshot, so a group is stable or lost as a whole. Returns the
+    /// first sequence number.
+    pub fn append_group<I>(&self, build: impl FnOnce(u64) -> I) -> u64
+    where
+        I: IntoIterator<Item = (R, usize)>,
+    {
+        let mut g = self.inner.lock();
+        let first = g.last_seq() + 1;
+        for (rec, size) in build(first) {
+            g.records.push((rec, size as u32));
+            self.stats.log_append(size as u64);
+        }
+        first
+    }
+
     /// Make every appended record stable with a synchronous flush: the
     /// log (including appenders) stalls for the device latency. Returns
     /// the new stable end.
@@ -1057,6 +1077,7 @@ impl<R: Clone> Default for LogStore<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn append_returns_monotonic_seq() {
@@ -1092,6 +1113,78 @@ mod tests {
         assert_eq!(log.read(3), None);
         // Sequence numbering resumes from the stable end.
         assert_eq!(log.append("e", 1), 3);
+    }
+
+    #[test]
+    fn append_group_numbers_its_records_from_the_first() {
+        let log = LogStore::new();
+        log.append(0, 1);
+        let first = log.append_group(|first| (first..first + 3).map(|s| (s, 1)));
+        assert_eq!(first, 2);
+        assert_eq!(log.last_seq(), 4);
+        log.force();
+        for s in 2..=4 {
+            assert_eq!(log.read(s), Some(s), "a record can name its own position");
+        }
+    }
+
+    #[test]
+    fn append_group_is_never_split_by_a_force_or_a_crash() {
+        // Groups of three `(group, index)` records race a solo forcer, a
+        // group forcer and repeated crashes: every stable end any of
+        // them observes must fall on a group boundary.
+        let log: Arc<LogStore<(u64, u8)>> = Arc::new(LogStore::new());
+        log.set_force_latency(Duration::from_micros(20));
+        let ends_group = |log: &LogStore<(u64, u8)>, s: u64| s == 0 || log.read(s).unwrap().1 == 2;
+        let done = Arc::new(AtomicBool::new(false));
+        let appended = Arc::new(AtomicU64::new(0));
+        let writer = {
+            let (log, done, appended) = (log.clone(), done.clone(), appended.clone());
+            std::thread::spawn(move || {
+                while !done.load(Ordering::Relaxed) {
+                    let g = appended.load(Ordering::Relaxed);
+                    log.append_group(|_| (0..3).map(move |i| ((g, i), 1)));
+                    appended.store(g + 1, Ordering::Relaxed);
+                }
+            })
+        };
+        let forces = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let forcers: Vec<_> = [false, true]
+            .into_iter()
+            .map(|grouped| {
+                let (log, done, forces) = (log.clone(), done.clone(), forces.clone());
+                std::thread::spawn(move || {
+                    while !done.load(Ordering::Relaxed) {
+                        let s = if grouped {
+                            log.group_force(log.last_seq(), GatherWindow::none(), 1)
+                        } else {
+                            log.force()
+                        };
+                        assert!(ends_group(&log, s), "a flush split a group at {s}");
+                        forces[grouped as usize].fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        // Crash once per 50 appended groups, each time after both
+        // forcers have flushed again.
+        for round in 1..=40 {
+            while appended.load(Ordering::Relaxed) < round * 50
+                || forces.iter().any(|f| f.load(Ordering::Relaxed) < round)
+            {
+                std::thread::yield_now();
+            }
+            let s = log.crash();
+            assert!(ends_group(&log, s), "a crash kept part of a group at {s}");
+        }
+        done.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
+        for f in forcers {
+            f.join().unwrap();
+        }
+        let s = log.force();
+        assert!(ends_group(&log, s));
+        assert_eq!(s % 3, 0, "only whole groups survive");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::stats::TcStats;
 use crate::tc::Tc;
 use crate::tclog::TcLogRecord;
 use crate::twopc::TwopcOutcome;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use unbundled_core::{DcId, Key, LogicalOp, Lsn, TableId, TcError, TcId, TxnId};
 
@@ -32,26 +32,18 @@ impl Tc {
         let stable_end = self.log.stable();
         let records = self.log.store().read_all_stable();
 
-        // --- Analysis: losers, undo chains, commit stamps, RSSP. A
-        // transaction's first record is its first `Op` or `Prepare`, so
-        // that is where analysis learns of it; it stays a loser unless
-        // a resolution record follows.
-        // Redo-only records never create one: a stamp logged after its
-        // transaction's commit record must not revive it as a loser.
+        // --- Analysis: losers, undo chains, RSSP. A transaction's first
+        // record is its first `Op` or `Prepare`, so that is where
+        // analysis learns of it; it stays a loser unless a resolution
+        // record follows. Redo-only records never create one. A commit
+        // is one log group — its stamps, then its resolution record — so
+        // a stable resolution record implies stable stamps, which redo
+        // resends like any other record.
         let mut rssp = Lsn(1);
         let mut losers: HashMap<TxnId, Vec<(Lsn, DcId, LogicalOp)>> = HashMap::new();
-        // Commit stamps. A winner's versions must carry its commit LSN
-        // even if the stamp records were lost with the log tail (a
-        // concurrent force can make the commit record stable before the
-        // stamps are appended) — the commit record alone guarantees the
-        // versions are eventually published to committed and snapshot
-        // readers (Section 6.2.2): track every live transaction's last
-        // write per key, remember each winner's commit point, collect
-        // the stamps actually present in the log, and synthesize the
-        // missing ones after redo.
+        // Each unresolved transaction's last write per key: a prepared
+        // branch committed below stamps these.
         let mut wtrack: HashMap<TxnId, HashMap<(DcId, TableId, Key), Lsn>> = HashMap::new();
-        let mut stamp_cands: Vec<(DcId, TableId, Key, Lsn, Lsn)> = Vec::new();
-        let mut stamps_logged: HashSet<(TableId, Key, Lsn)> = HashSet::new();
         // Cross-TC 2PC state: prepared participant branches (in-doubt
         // unless a later resolution record appears), our own retained
         // commit decisions (re-pinned and re-broadcast), and each
@@ -103,16 +95,10 @@ impl Tc {
                         }
                     }
                 }
-                TcLogRecord::Commit { txn } => {
-                    losers.remove(txn);
-                    prepared.remove(txn);
-                    if let Some(w) = wtrack.remove(txn) {
-                        for ((dc, table, key), op_lsn) in w {
-                            stamp_cands.push((dc, table, key, op_lsn, Lsn(*seq)));
-                        }
-                    }
-                }
-                TcLogRecord::Abort { txn } => {
+                TcLogRecord::Commit { txn }
+                | TcLogRecord::Abort { txn }
+                | TcLogRecord::ParticipantCommit { txn }
+                | TcLogRecord::ParticipantAbort { txn } => {
                     losers.remove(txn);
                     prepared.remove(txn);
                     wtrack.remove(txn);
@@ -133,37 +119,14 @@ impl Tc {
                     if !participants.is_empty() {
                         decisions.push((*txn, participants.clone(), Lsn(*seq)));
                     }
-                    if let Some(w) = wtrack.remove(txn) {
-                        for ((dc, table, key), op_lsn) in w {
-                            stamp_cands.push((dc, table, key, op_lsn, Lsn(*seq)));
-                        }
-                    }
-                }
-                TcLogRecord::ParticipantCommit { txn } => {
-                    losers.remove(txn);
-                    prepared.remove(txn);
-                    if let Some(w) = wtrack.remove(txn) {
-                        for ((dc, table, key), op_lsn) in w {
-                            stamp_cands.push((dc, table, key, op_lsn, Lsn(*seq)));
-                        }
-                    }
-                }
-                TcLogRecord::ParticipantAbort { txn } => {
-                    losers.remove(txn);
-                    prepared.remove(txn);
                     wtrack.remove(txn);
                 }
-                TcLogRecord::RebalanceIntent { .. } => {}
+                TcLogRecord::RedoOnly { .. } | TcLogRecord::RebalanceIntent { .. } => {}
                 TcLogRecord::RebalanceDone {
                     lo, hi, to, epoch, ..
                 } => {
                     if rebalance_done.is_none_or(|(_, _, _, e)| *epoch > e) {
                         rebalance_done = Some((*lo, *hi, *to, *epoch));
-                    }
-                }
-                TcLogRecord::RedoOnly { op, .. } => {
-                    if let LogicalOp::StampCommit { table, key, op, .. } = op {
-                        stamps_logged.insert((*table, key.clone(), *op));
                     }
                 }
             }
@@ -196,7 +159,7 @@ impl Tc {
             TxnId,
             TcId,
             TxnId,
-            Vec<((DcId, TableId, Key), Lsn)>,
+            HashMap<(DcId, TableId, Key), Lsn>,
         )> = Vec::new();
         #[allow(clippy::type_complexity)]
         let mut branch_parks: Vec<(TxnId, TcId, TxnId, Lsn, Vec<(Lsn, DcId, LogicalOp)>)> =
@@ -215,10 +178,7 @@ impl Tc {
                     losers.remove(txn);
                     // The branch's versions are stamped at the fresh
                     // ParticipantCommit LSN logged below.
-                    let writes = wtrack
-                        .remove(txn)
-                        .map(|m| m.into_iter().collect())
-                        .unwrap_or_default();
+                    let writes = wtrack.remove(txn).unwrap_or_default();
                     branch_commits.push((*txn, *coord, *gtxn, writes));
                 }
                 TwopcOutcome::InDoubt => {
@@ -260,30 +220,6 @@ impl Tc {
             }
         }
 
-        // --- Synthesize missing commit stamps: a winner whose stamp
-        // records were lost with the log tail (its commit record made
-        // stable by a concurrent force) still gets its versions tagged
-        // with its commit LSN. Stamps present in the log were already
-        // resent by the redo pass above and are skipped here; re-sent
-        // stamps are deterministic no-ops at the DC.
-        for (dc, table, key, op_lsn, commit) in stamp_cands {
-            if stamps_logged.contains(&(table, key.clone(), op_lsn)) {
-                continue;
-            }
-            let op = LogicalOp::StampCommit {
-                table,
-                key,
-                op: op_lsn,
-                commit,
-            };
-            let l = self.log_op_record(TcLogRecord::RedoOnly {
-                txn: TxnId(0),
-                dc,
-                op: op.clone(),
-            });
-            self.session.redo(dc, l, &op)?;
-        }
-
         // --- Undo losers: inverse operations in reverse LSN order.
         let mut undo_work: Vec<(Lsn, TxnId, DcId, LogicalOp)> = Vec::new();
         for (txn, chain) in &losers {
@@ -311,21 +247,11 @@ impl Tc {
                 self.log_bookkeeping(TcLogRecord::Abort { txn: *txn });
             }
         }
-        for (txn, _, _, writes) in &branch_commits {
-            let commit = self.log_bookkeeping(TcLogRecord::ParticipantCommit { txn: *txn });
-            for ((dc, table, key), op_lsn) in writes {
-                let op = LogicalOp::StampCommit {
-                    table: *table,
-                    key: key.clone(),
-                    op: *op_lsn,
-                    commit,
-                };
-                let l = self.log_op_record(TcLogRecord::RedoOnly {
-                    txn: *txn,
-                    dc: *dc,
-                    op: op.clone(),
-                });
-                self.session.redo(*dc, l, &op)?;
+        for (txn, _, _, writes) in &mut branch_commits {
+            let resolution = TcLogRecord::ParticipantCommit { txn: *txn };
+            let (_, stamps) = self.log_commit(*txn, std::mem::take(writes), resolution);
+            for (dc, l, op) in &stamps {
+                self.session.redo(*dc, *l, op)?;
             }
         }
         self.force_log();

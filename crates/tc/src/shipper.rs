@@ -6,18 +6,19 @@
 //! TC log into that stream and drives it to registered replicas:
 //!
 //! * **Scan** — walk the *stable* log prefix once, in LSN order,
-//!   buffering each transaction's redo operations until its outcome is
-//!   known. A `Commit` emits the transaction's operations as one
-//!   *stream group* positioned at the commit-record LSN; an `Abort`
-//!   discards them (rolled-back work is never shipped, so a replica can
-//!   never serve dirty or rolled-back data); a `RedoOnly` record
-//!   (rollback compensation or post-commit version stamp) is
-//!   emitted immediately at its own LSN. Lock-before-log ordering
-//!   guarantees that conflicting operations appear in the stream in
-//!   their serialization order: strict two-phase locking means a
-//!   conflicting successor cannot even be logged until its predecessor's
-//!   commit/abort released the lock, so emission points preserve every
-//!   conflict.
+//!   buffering each transaction's redo records — operations, rollback
+//!   compensations and commit stamps alike — until its outcome is
+//!   known. A `Commit` emits the transaction's records as one *stream
+//!   group* positioned at the commit-record LSN (its stamps sit in the
+//!   same log group, just below it); an `Abort` discards them together
+//!   with the compensations that undid them (rolled-back work is never
+//!   shipped, so a replica can never serve dirty or rolled-back data,
+//!   nor replay an inverse of something it never saw). Lock-before-log
+//!   ordering guarantees that conflicting operations appear in the
+//!   stream in their serialization order: strict two-phase locking
+//!   means a conflicting successor cannot even be logged until its
+//!   predecessor's commit/abort released the lock, so emission points
+//!   preserve every conflict.
 //! * **Ship** — per replica, send the stream slice past its cursor as
 //!   [`TcToDc::ShipBatch`] datagrams (filtered to the primaries the
 //!   replica follows; batches never split a transaction's group, so a
@@ -60,11 +61,11 @@ pub struct ReplicaLag {
 }
 
 /// One emitted slice of the replication stream: a committed
-/// transaction's redo operations (or a single redo-only record),
-/// positioned at the LSN that made it shippable.
+/// transaction's redo records, positioned at the LSN that made it
+/// shippable.
 struct StreamGroup {
-    /// Emission position: the commit-record LSN (or the redo-only
-    /// record's own LSN). Replica frontiers advance in these units.
+    /// Emission position: the commit-record LSN. Replica frontiers
+    /// advance in these units.
     pos: Lsn,
     /// Smallest TC-log LSN among the group's records — the truncation
     /// floor while any replica still needs this group.
@@ -234,20 +235,8 @@ impl Shipper {
         match rec {
             // A transaction enters the stream's bookkeeping at its first
             // operation; one with none has nothing to ship.
-            TcLogRecord::Op { txn, dc, op, .. } => {
+            TcLogRecord::Op { txn, dc, op, .. } | TcLogRecord::RedoOnly { txn, dc, op } => {
                 g.pending.entry(txn).or_default().push((lsn, dc, op));
-            }
-            TcLogRecord::RedoOnly { dc, op, .. } => {
-                // Compensations and commit stamps are shippable the moment
-                // they are stable: a compensation's original may never
-                // have shipped (uncommitted work is withheld), in which
-                // case replaying the inverse is a deterministic no-op or
-                // benign logical error at the replica.
-                g.stream.push(StreamGroup {
-                    pos: lsn,
-                    floor: lsn,
-                    records: vec![(lsn, dc, op)],
-                });
             }
             // Replicas must only ever see *decided* work. A cross-TC
             // branch stays buffered through its Prepare — an in-doubt
@@ -286,7 +275,8 @@ impl Shipper {
         self.inner.lock().replicas.get(&replica).map(|r| r.acked)
     }
 
-    /// Stable operations of transactions whose outcome has not been
+    /// Stable redo records (operations, and the compensations of a
+    /// rollback under way) of transactions whose outcome has not been
     /// scanned yet (active as of the stable log end), in LSN order —
     /// promotion must replay exactly these on top of the shipped stream
     /// (resolved history is covered by the stream; re-executing it raw

@@ -1080,68 +1080,80 @@ impl Tc {
         // without touching the log. Snapshot readers therefore pay
         // neither locks nor a log record.
         if st.lock().first_lsn.is_some() {
-            let commit_lsn = self.log_bookkeeping(TcLogRecord::Commit { txn });
-            // Stamp records are logged *before* the force so one flush
-            // covers the commit record and the stamps, and sent *after*
-            // it (write-ahead). Single-shard transactions need no 2PC:
-            // once the commit record is stable the transaction IS
-            // committed, and the stamps publish it — to snapshot
-            // readers and (Section 6.2.2's "eliminate the before
-            // versions") to read-committed readers at other TCs.
-            // Delivery is synchronous and under the transaction's X
-            // locks, so once `commit` returns every snapshot at or
-            // above the stable LSN observes this transaction. Known
-            // gap: snapshot readers take no locks, so one pinned at the
-            // stable LSN between the force and the last stamp sees some
-            // of this transaction's keys stamped and others not
-            // (ROADMAP open item "Close the torn-snapshot window").
-            let stamps = self.log_stamps(txn, st, commit_lsn);
-            self.force_commit(self.log.last());
-            self.send_stamps(&stamps)?;
+            // Single-shard transactions need no 2PC: once the commit
+            // group is stable the transaction IS committed, and the
+            // stamps publish it — to snapshot readers and (Section
+            // 6.2.2's "eliminate the before versions") to read-committed
+            // readers at other TCs. Delivery is synchronous and under
+            // the transaction's X locks, so once `commit` returns every
+            // snapshot at or above the stable LSN observes this
+            // transaction. Known gap: snapshot readers take no locks, so
+            // one pinned at the stable LSN between the force and the
+            // last stamp sees some of this transaction's keys stamped
+            // and others not (ROADMAP open item "Close the torn-snapshot
+            // window").
+            let writes = std::mem::take(&mut st.lock().writes);
+            let (commit, stamps) = self.log_commit(txn, writes, TcLogRecord::Commit { txn });
+            self.deliver_commit(commit, &stamps)?;
         }
         self.finish_commit_local(txn, st);
         Ok(())
     }
 
-    /// Log one redo-only [`LogicalOp::StampCommit`] per key this
-    /// transaction wrote (last write per key — displaced intermediates
-    /// are never stamped), tagging the DC-side versions with the
-    /// transaction's commit LSN. Returns the records for the
-    /// post-force send.
-    pub(crate) fn log_stamps(
+    /// Append a commit as one log group: a redo-only
+    /// [`LogicalOp::StampCommit`] per key in `writes` (the transaction's
+    /// last write per key — displaced intermediates are never stamped),
+    /// then `resolution` (`Commit`, `CommitDecision` or
+    /// `ParticipantCommit`), whose LSN every stamp carries. No force and
+    /// no crash can separate a stable resolution record from its stamps,
+    /// so recovery redoes them like any other logged record. Returns the
+    /// resolution LSN and the stamps to deliver.
+    pub(crate) fn log_commit(
         &self,
         txn: TxnId,
-        st: &Arc<Mutex<TxnState>>,
-        commit: Lsn,
-    ) -> Vec<(DcId, Lsn, LogicalOp)> {
-        let mut writes: Vec<((DcId, TableId, Key), Lsn)> = {
-            let mut g = st.lock();
-            std::mem::take(&mut g.writes).into_iter().collect()
-        };
+        writes: impl IntoIterator<Item = ((DcId, TableId, Key), Lsn)>,
+        resolution: TcLogRecord,
+    ) -> (Lsn, Vec<(DcId, Lsn, LogicalOp)>) {
+        let mut writes: Vec<_> = writes.into_iter().collect();
         writes.sort_by_key(|&(_, l)| l);
-        let mut out = Vec::with_capacity(writes.len());
-        for ((dc, table, key), op_lsn) in writes {
-            let op = LogicalOp::StampCommit {
-                table,
-                key,
-                op: op_lsn,
-                commit,
-            };
-            let l = self.log_op_record(TcLogRecord::RedoOnly {
-                txn,
-                dc,
-                op: op.clone(),
-            });
-            out.push((dc, l, op));
+        let n = writes.len() as u64;
+        let mut stamps = Vec::with_capacity(writes.len());
+        let _g = self.alloc.lock();
+        let first = self.log.append_group(|first| {
+            let commit = Lsn(first.0 + n);
+            let mut recs = Vec::with_capacity(writes.len() + 1);
+            for (l, ((dc, table, key), op)) in (first.0..).zip(writes) {
+                let op = LogicalOp::StampCommit {
+                    table,
+                    key,
+                    op,
+                    commit,
+                };
+                stamps.push((dc, Lsn(l), op.clone()));
+                recs.push(TcLogRecord::RedoOnly { txn, dc, op });
+            }
+            recs.push(resolution);
+            recs
+        });
+        for (_, l, _) in &stamps {
+            self.session.acks.sent(*l);
         }
-        out
+        let commit = Lsn(first.0 + n);
+        self.session.acks.bookkeeping(commit);
+        (commit, stamps)
     }
 
-    /// Deliver the stamp records logged by [`Tc::log_stamps`]. Runs
-    /// under the committing transaction's locks; a stamp whose record
-    /// was meanwhile truncated away at the DC is a deterministic no-op
+    /// Make the commit group ending at `commit` durable, then deliver its
+    /// stamps (write-ahead: after the force), under the committing
+    /// transaction's still-held locks. A stamp whose record was
+    /// meanwhile truncated away at the DC is a deterministic no-op
     /// there.
-    pub(crate) fn send_stamps(&self, stamps: &[(DcId, Lsn, LogicalOp)]) -> Result<(), TcError> {
+    pub(crate) fn deliver_commit(
+        &self,
+        commit: Lsn,
+        stamps: &[(DcId, Lsn, LogicalOp)],
+    ) -> Result<(), TcError> {
+        self.force_commit(commit);
         for (dc, l, op) in stamps {
             TcStats::bump(&self.stats.stamps_sent);
             let _ = self

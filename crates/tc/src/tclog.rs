@@ -244,6 +244,18 @@ impl TcLogHandle {
         Lsn(self.store.append(rec, size))
     }
 
+    /// Append records built from the LSN the first of them gets, as one
+    /// group no force or crash can split (see
+    /// [`LogStore::append_group`]); returns that first LSN.
+    pub fn append_group(&self, build: impl FnOnce(Lsn) -> Vec<TcLogRecord>) -> Lsn {
+        Lsn(self.store.append_group(|first| {
+            build(Lsn(first)).into_iter().map(|rec| {
+                let size = rec.encoded_size();
+                (rec, size)
+            })
+        }))
+    }
+
     /// Force; returns the new end of stable log (EOSL).
     pub fn force(&self) -> Lsn {
         Lsn(self.store.force())

@@ -408,16 +408,16 @@ impl Tc {
                     return true;
                 }
             };
-            let lsn = self.log_bookkeeping(TcLogRecord::ParticipantCommit { txn: local });
             // MVCC: the branch's versions are stamped with the
             // ParticipantCommit LSN — commit LSNs are per-TC, so a
             // snapshot read served by this shard compares against its
-            // own log positions only.
-            let stamps = self.log_stamps(local, &st, lsn);
-            // Forced before acknowledging: once the coordinator hears
-            // the ack it may truncate the decision away.
-            self.force_commit(self.log.last());
-            if self.send_stamps(&stamps).is_err() {
+            // own log positions only. Forced before acknowledging: once
+            // the coordinator hears the ack it may truncate the decision
+            // away.
+            let writes = std::mem::take(&mut st.lock().writes);
+            let (commit, stamps) =
+                self.log_commit(local, writes, TcLogRecord::ParticipantCommit { txn: local });
+            if self.deliver_commit(commit, &stamps).is_err() {
                 return false;
             }
             self.participants.lock().remove(&(coord, gtxn));
@@ -535,10 +535,19 @@ impl Tc {
         // A coordinator that only forwarded enters the log here; the
         // floor covers the decision until `pending_decisions` pins it.
         self.enter_log(&st);
-        let lsn = self.log_bookkeeping(TcLogRecord::CommitDecision {
+        // MVCC: the coordinator's *local* writes are stamped with the
+        // decision LSN (the commit point); each participant branch
+        // stamps its own writes with its ParticipantCommit LSN in its
+        // own LSN space.
+        let writes = std::mem::take(&mut st.lock().writes);
+        let (lsn, stamps) = self.log_commit(
             txn,
-            participants: participants.clone(),
-        });
+            writes,
+            TcLogRecord::CommitDecision {
+                txn,
+                participants: participants.clone(),
+            },
+        );
         // A decision with no participants awaits no acks — pinning it
         // would block log truncation forever (nothing ever calls
         // `twopc_ack` for it). This arises when every branch of a
@@ -549,14 +558,7 @@ impl Tc {
                 .lock()
                 .insert(txn, (lsn, participants.into_iter().collect()));
         }
-        // MVCC: the coordinator's *local* writes are stamped with the
-        // decision LSN (the commit point); each participant branch
-        // stamps its own writes with its ParticipantCommit LSN in its
-        // own LSN space. Stamps are logged before the force and sent
-        // after it, under the transaction's still-held locks.
-        let stamps = self.log_stamps(txn, &st, lsn);
-        self.force_commit(self.log.last());
-        self.send_stamps(&stamps)?;
+        self.deliver_commit(lsn, &stamps)?;
         Ok(lsn)
     }
 

@@ -134,6 +134,30 @@ fn replicas_converge_to_committed_state_over_inline_links() {
 }
 
 #[test]
+fn an_aborted_insert_ships_neither_itself_nor_its_compensation() {
+    // A rollback's compensations travel with the operations they undo:
+    // the abort discards both, so a replica never replays the inverse
+    // of an insert it never saw.
+    let d = replicated(1, |_| TransportKind::Inline);
+    let t = d.tc(TcId(1));
+    let txn = t.begin().unwrap();
+    t.insert(txn, T, Key::from_u64(1), b"rolled back".to_vec())
+        .unwrap();
+    t.abort(txn).unwrap();
+    let txn = t.begin().unwrap();
+    t.insert(txn, T, Key::from_u64(2), b"kept".to_vec())
+        .unwrap();
+    t.commit(txn).unwrap();
+    pump_until_converged(&d, TcId(1));
+    let snap = d.dc(R1).engine().stats().snapshot();
+    assert_eq!(snap.ship_apply_errors, 0, "{snap:?}");
+    assert_eq!(
+        d.dc(R1).engine().dump_table(T).unwrap(),
+        vec![(Key::from_u64(2), b"kept".to_vec())]
+    );
+}
+
+#[test]
 fn replicas_converge_under_dropped_reordered_and_duplicated_ship_batches() {
     // A hostile transport for the ship path: a quarter of all ship
     // datagrams are dropped and a quarter delayed behind later ones;

@@ -4,7 +4,7 @@
 //! and its stamps, and what `Committed` readers see around a write by
 //! another TC.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use unbundled::core::{
@@ -110,9 +110,13 @@ fn one_key_versioned_commit_is_three_log_records_and_one_force() {
             _ => "other",
         })
         .collect();
-    assert_eq!(shape, ["vwrite", "commit", "stamp"]);
+    assert_eq!(
+        shape,
+        ["vwrite", "stamp", "commit"],
+        "stamps precede their commit"
+    );
     assert_eq!(delta.log_records, 3);
-    assert_eq!(delta.log_forces, 1, "one flush covers commit and stamp");
+    assert_eq!(delta.log_forces, 1, "one flush covers stamp and commit");
     assert_eq!(
         read_once(&d.tc(READER), V, key(), ReadConsistency::Committed),
         Some(b"v2".to_vec())
@@ -206,49 +210,78 @@ fn tc_crash_between_commit_force_and_stamp_delivery_still_publishes() {
 }
 
 #[test]
-fn stamps_lost_with_the_log_tail_are_synthesized_from_the_commit_record() {
-    // A concurrent force can make a commit record stable before its
-    // stamps are appended; a crash then leaves a winner with no stamp
-    // in the log at all. Reproduce that log directly.
+fn acknowledged_commits_survive_a_crash_amid_concurrent_forces() {
+    // A commit appends its stamps and its commit record as one log
+    // group, so a force racing the committer can never make the commit
+    // record stable without its stamps. Race a thread that forces in a
+    // loop against a writer, crash the writer's TC mid-stream, reboot
+    // it, and read every acknowledged commit back.
     let d = shared();
-    commit_versioned(&d.tc(WRITER), b"v1");
-    let log = d.tc_log(WRITER);
-    let txn = TxnId(1_000);
-    let op = LogicalOp::VersionedWrite {
-        table: V,
-        key: key(),
-        value: b"v2".to_vec(),
-    };
-    for rec in [
-        TcLogRecord::Op {
-            txn,
-            dc: DC,
-            undo: op.inverse(None),
-            op,
-        },
-        TcLogRecord::Commit { txn },
-    ] {
-        let size = rec.encoded_size();
-        log.append(rec, size);
-    }
-    log.force();
-    d.crash_tc(WRITER);
-    d.reboot_tc(WRITER);
-    let reader = d.tc(READER);
-    assert_eq!(
-        read_once(&reader, V, key(), ReadConsistency::Committed),
-        Some(b"v2".to_vec()),
-        "redo applies the write, stamp synthesis publishes it"
-    );
     let tc = d.tc(WRITER);
-    let t = tc.begin().unwrap();
-    assert_eq!(
-        tc.read(t, V, key(), ReadConsistency::Snapshot(SnapshotSpec::Fresh))
-            .unwrap(),
-        Some(b"v2".to_vec()),
-        "and snapshot readers see it at the winner's commit LSN"
+    let crashing = Arc::new(AtomicBool::new(false));
+    let acked = Arc::new(AtomicU64::new(0));
+    let forcer = {
+        let (tc, crashing) = (tc.clone(), crashing.clone());
+        std::thread::spawn(move || {
+            while !crashing.load(Ordering::SeqCst) {
+                tc.force_and_publish();
+            }
+        })
+    };
+    let writer = {
+        let (tc, crashing, acked) = (tc.clone(), crashing.clone(), acked.clone());
+        std::thread::spawn(move || {
+            let mut done = Vec::new();
+            for i in 0u64.. {
+                let Ok(t) = tc.begin() else { break };
+                let write = tc.versioned_write(t, V, Key::from_u64(i), i.to_le_bytes().to_vec());
+                if write.is_err() || tc.commit(t).is_err() {
+                    break;
+                }
+                // A commit that returns once the crash has begun is not
+                // an acknowledgement a client could have relied on.
+                if crashing.load(Ordering::SeqCst) {
+                    break;
+                }
+                done.push(i);
+                acked.fetch_add(1, Ordering::SeqCst);
+            }
+            done
+        })
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while acked.load(Ordering::SeqCst) < 200 && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    crashing.store(true, Ordering::SeqCst);
+    d.crash_tc(WRITER);
+    let done = writer.join().unwrap();
+    forcer.join().unwrap();
+    assert!(
+        done.len() >= 200,
+        "only {} commits before the crash",
+        done.len()
     );
-    tc.commit(t).unwrap();
+    d.reboot_tc(WRITER);
+    let (tc, reader) = (d.tc(WRITER), d.tc(READER));
+    for i in done {
+        let want = Some(i.to_le_bytes().to_vec());
+        assert_eq!(
+            read_once(&reader, V, Key::from_u64(i), ReadConsistency::Committed),
+            want,
+            "committed read of acknowledged write {i}"
+        );
+        assert_eq!(
+            read_once(
+                &tc,
+                V,
+                Key::from_u64(i),
+                ReadConsistency::Snapshot(SnapshotSpec::Fresh)
+            ),
+            want,
+            "fresh snapshot of acknowledged write {i}"
+        );
+    }
 }
 
 #[test]
