@@ -25,7 +25,7 @@
 //!   chain per record, serving MVCC snapshots and the Section 6.2.2
 //!   cross-TC read-committed sharing without two-phase commit.
 //! * [`op`] — the logical (record-oriented) operations a TC may submit and
-//!   their results; operation inverses are what the TC logs for undo.
+//!   their results; a write is undone by reverting the version it made.
 //! * [`msg`] — the TC:DC API of Section 4.2.1: `perform_operation`,
 //!   `end_of_stable_log`, `checkpoint`, `low_water_mark`, `restart`, plus
 //!   the DC→TC replies and out-of-band prompts.

@@ -6,14 +6,13 @@
 //!
 //! ## Undo information
 //!
-//! The TC logs *logical undo* as inverse operations (Section 4.1.1(2b)).
-//! Because redo must be resendable after a TC crash, the undo information
-//! has to be in the TC log **before** the operation's effects can become
-//! stable at the DC. This implementation therefore requires the TC to
-//! know the prior value when it logs an `Update`/`Delete`: it uses the
-//! transaction's earlier read of the record, or issues the read itself
-//! (the locks it holds make the read stable). [`LogicalOp::inverse`]
-//! computes the inverse given that prior state.
+//! Every record keeps the committed state beneath an uncommitted write
+//! (its version chain), so a logged mutation is undone by
+//! [`LogicalOp::RevertVersion`] naming the op LSN it undoes — the
+//! paper's Section 6.2.2 "remove the new versions". The undo is derived
+//! from the write itself: the TC logs no before-image and fetches none,
+//! and a transaction's write set (last write LSN per key) is its whole
+//! undo log.
 
 use crate::ids::TableId;
 use crate::key::Key;
@@ -67,29 +66,40 @@ pub enum LogicalOp {
         /// Record key.
         key: Key,
     },
-    /// Versioned insert-or-update (Section 6.2.2): installs `value` as
-    /// the unstamped head of the record's version chain. The committed
-    /// state beneath stays in the chain (nothing there for an insert),
-    /// which is why the inverse needs no before-image. The
-    /// transaction's [`LogicalOp::StampCommit`] commits it — the
-    /// paper's "eliminate the before version".
+    /// Insert-or-update: installs `value` as the unstamped head of the
+    /// record's version chain, whether or not the record exists. Like
+    /// every mutation it is committed by [`LogicalOp::StampCommit`] and
+    /// undone by [`LogicalOp::RevertVersion`].
     VersionedWrite {
-        /// Target (versioned) table.
+        /// Target table.
         table: TableId,
         /// Record key.
         key: Key,
         /// New (uncommitted) payload.
         value: Vec<u8>,
     },
-    /// Abort (the paper's "remove the new version"): drop the unstamped
-    /// head of the chain and reinstate the newest stamped version
-    /// beneath it, removing the record if there is none (a versioned
-    /// insert). A no-op on a record whose head is stamped.
+    /// Abort (the paper's "remove the new version"): undo every write
+    /// of one transaction to `key`, whose last write had op LSN `op`.
+    /// Drops an unstamped head whose op LSN is `<= op` and reinstates
+    /// the newest *stamped* version beneath it, removing the record if
+    /// there is none (an insert). A no-op on a stamped head or on a head
+    /// written after `op`, so a resend can never revert a later owner's
+    /// write. `<=`, not `==`: recovery counts a loser's failed last op
+    /// (it cannot know it failed), which created no version of its own.
+    /// Redo-only: never undone.
+    ///
+    /// Invariant: because a revert reinstates the newest *stamped*
+    /// version, a key's commit stamp must reach its DC before the next
+    /// writer's op on that key. Stamps are delivered synchronously under
+    /// the committer's X locks and redo is LSN-ordered, so this holds;
+    /// pipelined stamps (ROADMAP item 5) must keep it.
     RevertVersion {
-        /// Target (versioned) table.
+        /// Target table.
         table: TableId,
         /// Record key.
         key: Key,
+        /// LSN of the transaction's last write to `key`.
+        op: Lsn,
     },
     /// Post-commit: stamp the version created by op LSN `op` with the
     /// transaction's `commit` LSN, publishing it to committed and
@@ -185,44 +195,6 @@ impl LogicalOp {
         )
     }
 
-    /// The inverse operation, given the record's prior payload
-    /// (`prior = None` means the record did not exist).
-    ///
-    /// Returns `None` for reads (nothing to undo) and for the version
-    /// bookkeeping operations: `StampCommit` runs only after commit and
-    /// `RevertVersion` only during abort — neither is ever itself undone
-    /// (they are redo-only, like compensation records).
-    pub fn inverse(&self, prior: Option<&[u8]>) -> Option<LogicalOp> {
-        match self {
-            LogicalOp::Insert { table, key, .. } => Some(LogicalOp::Delete {
-                table: *table,
-                key: key.clone(),
-            }),
-            LogicalOp::Update { table, key, .. } => Some(LogicalOp::Update {
-                table: *table,
-                key: key.clone(),
-                value: prior.expect("update undo requires prior value").to_vec(),
-            }),
-            LogicalOp::Delete { table, key } => Some(LogicalOp::Insert {
-                table: *table,
-                key: key.clone(),
-                value: prior.expect("delete undo requires prior value").to_vec(),
-            }),
-            // A versioned write is undone by reverting to the committed
-            // version beneath it in the chain — the DC holds the prior
-            // state, so the TC needs no prior payload.
-            LogicalOp::VersionedWrite { table, key, .. } => Some(LogicalOp::RevertVersion {
-                table: *table,
-                key: key.clone(),
-            }),
-            LogicalOp::RevertVersion { .. }
-            | LogicalOp::StampCommit { .. }
-            | LogicalOp::Read { .. }
-            | LogicalOp::ScanRange { .. }
-            | LogicalOp::ProbeKeys { .. } => None,
-        }
-    }
-
     /// Short operation name for logs and traces.
     pub fn name(&self) -> &'static str {
         match self {
@@ -288,102 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_of_insert_is_delete() {
-        let op = LogicalOp::Insert {
-            table: t(),
-            key: Key::from_u64(1),
-            value: b"v".to_vec(),
-        };
-        assert_eq!(
-            op.inverse(None),
-            Some(LogicalOp::Delete {
-                table: t(),
-                key: Key::from_u64(1)
-            })
-        );
-    }
-
-    #[test]
-    fn inverse_of_update_restores_prior() {
-        let op = LogicalOp::Update {
-            table: t(),
-            key: Key::from_u64(1),
-            value: b"new".to_vec(),
-        };
-        assert_eq!(
-            op.inverse(Some(b"old")),
-            Some(LogicalOp::Update {
-                table: t(),
-                key: Key::from_u64(1),
-                value: b"old".to_vec()
-            })
-        );
-    }
-
-    #[test]
-    fn inverse_of_delete_reinserts() {
-        let op = LogicalOp::Delete {
-            table: t(),
-            key: Key::from_u64(2),
-        };
-        assert_eq!(
-            op.inverse(Some(b"old")),
-            Some(LogicalOp::Insert {
-                table: t(),
-                key: Key::from_u64(2),
-                value: b"old".to_vec()
-            })
-        );
-    }
-
-    #[test]
-    fn inverse_of_versioned_write_is_revert() {
-        let op = LogicalOp::VersionedWrite {
-            table: t(),
-            key: Key::from_u64(3),
-            value: b"v".to_vec(),
-        };
-        assert_eq!(
-            op.inverse(None),
-            Some(LogicalOp::RevertVersion {
-                table: t(),
-                key: Key::from_u64(3)
-            })
-        );
-    }
-
-    #[test]
-    fn reads_and_compensations_have_no_inverse() {
-        assert_eq!(
-            LogicalOp::Read {
-                table: t(),
-                key: Key::from_u64(1),
-                flavor: ReadFlavor::Latest
-            }
-            .inverse(None),
-            None
-        );
-        assert_eq!(
-            LogicalOp::RevertVersion {
-                table: t(),
-                key: Key::from_u64(1)
-            }
-            .inverse(None),
-            None
-        );
-        assert_eq!(
-            LogicalOp::StampCommit {
-                table: t(),
-                key: Key::from_u64(1),
-                op: Lsn(4),
-                commit: Lsn(9)
-            }
-            .inverse(None),
-            None
-        );
-    }
-
-    #[test]
     fn mutation_classification() {
         assert!(LogicalOp::Insert {
             table: t(),
@@ -393,7 +269,8 @@ mod tests {
         .is_mutation());
         assert!(LogicalOp::RevertVersion {
             table: t(),
-            key: Key::from_u64(1)
+            key: Key::from_u64(1),
+            op: Lsn(1)
         }
         .is_mutation());
         assert!(LogicalOp::StampCommit {

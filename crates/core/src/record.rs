@@ -244,16 +244,18 @@ impl StoredRecord {
         self.versions.len() + self.staged.len()
     }
 
-    /// Abort the in-flight write (Section 6.2.2 "remove the new
-    /// version"): drop an unstamped `current` and reinstate the newest
-    /// stamped version — GC always retains it while `current` is
-    /// unstamped. Returns `false` if there is none and the record
-    /// should be removed entirely (the write was an insert). A stamped
-    /// `current` is left alone: the second revert of a transaction that
-    /// wrote the key twice finds the first already restored it.
+    /// Abort the writes of one transaction whose last write here had op
+    /// LSN `op` (Section 6.2.2 "remove the new version"): drop an
+    /// unstamped `current` written at or before `op` and reinstate the
+    /// newest stamped version — GC always retains it while `current` is
+    /// unstamped, and the transaction's earlier writes sit in `staged`
+    /// above it. Returns `false` if there is none and the record should
+    /// be removed entirely (the write was an insert). A stamped
+    /// `current` (already reverted, or committed) and one written after
+    /// `op` (a later owner's) are left alone.
     #[must_use]
-    pub fn revert(&mut self) -> bool {
-        if self.current_commit.is_some() {
+    pub fn revert(&mut self, op: Lsn) -> bool {
+        if self.current_commit.is_some() || self.current_op > op {
             return true;
         }
         let Some((commit, payload)) = self.versions.pop() else {
@@ -435,7 +437,7 @@ mod tests {
         let mut r = StoredRecord::new(b"v0".to_vec(), TcId(1), Lsn(3));
         assert!(r.stamp(Lsn(3), Lsn(4)));
         r.overwrite(b"v1".to_vec(), TcId(1), Lsn(5));
-        assert!(r.revert());
+        assert!(r.revert(Lsn(5)));
         assert_eq!(r.read_latest(), Some(&b"v0"[..]));
         assert_eq!(r.read_committed(), Some(&b"v0"[..]));
         assert_eq!(
@@ -451,7 +453,7 @@ mod tests {
     fn revert_of_a_versioned_insert_removes_the_record() {
         let mut r = StoredRecord::new(b"new".to_vec(), TcId(2), Lsn(7));
         assert_eq!(r.read_committed(), None, "absent to readers until commit");
-        assert!(!r.revert(), "nothing committed underneath: remove");
+        assert!(!r.revert(Lsn(7)), "nothing committed underneath: remove");
     }
 
     #[test]
@@ -460,11 +462,12 @@ mod tests {
         r.overwrite(b"v1".to_vec(), TcId(1), Lsn(5));
         r.overwrite(b"v2".to_vec(), TcId(1), Lsn(6));
         assert_eq!(r.read_committed(), Some(&b"v0"[..]));
-        assert!(r.revert());
+        // One revert, naming the last write, undoes both.
+        assert!(r.revert(Lsn(6)));
         assert_eq!(r.read_latest(), Some(&b"v0"[..]));
         assert_eq!(r.current_commit, Some(Lsn(0)));
         let once = r.clone();
-        assert!(r.revert(), "second revert of the same transaction");
+        assert!(r.revert(Lsn(6)), "a resent revert");
         assert_eq!(r, once, "finds `current` stamped and changes nothing");
         // The dead intermediate write is reclaimed like any staged entry.
         assert_eq!(r.gc(Lsn(6)), 1);
@@ -477,7 +480,7 @@ mod tests {
         r.overwrite(b"v1".to_vec(), TcId(1), Lsn(5));
         assert!(r.stamp(Lsn(5), Lsn(7)));
         let stamped = r.clone();
-        assert!(r.revert());
+        assert!(r.revert(Lsn(5)));
         assert_eq!(r, stamped, "a committed version is never reverted");
     }
 
@@ -491,9 +494,25 @@ mod tests {
         // However far the floor advances, the newest stamped version is
         // kept while `current` is unstamped: the revert target exists.
         assert_eq!(r.gc(Lsn(1_000)), 1);
-        assert!(r.revert());
+        assert!(r.revert(Lsn(30)));
         assert_eq!(r.read_committed(), Some(&b"b"[..]));
         assert_eq!(r.current_commit, Some(Lsn(22)));
+    }
+
+    #[test]
+    fn revert_covers_a_failed_last_op_but_never_a_later_write() {
+        // Recovery's write set may name a failed op (here LSN 6) that
+        // created no version: the version of op 5 beneath it reverts.
+        let mut r = StoredRecord::committed(b"v0".to_vec(), TcId(1));
+        r.overwrite(b"v1".to_vec(), TcId(1), Lsn(5));
+        assert!(r.revert(Lsn(6)));
+        assert_eq!(r.read_latest(), Some(&b"v0"[..]));
+        // A later writer's version (op 9) is out of reach of a resent
+        // revert of op 5.
+        r.overwrite(b"v2".to_vec(), TcId(1), Lsn(9));
+        let later = r.clone();
+        assert!(r.revert(Lsn(5)));
+        assert_eq!(r, later);
     }
 
     #[test]
@@ -602,7 +621,7 @@ mod tests {
         r.overwrite(b"dirty".to_vec(), TcId(1), Lsn(20));
         r.overwrite(b"c".to_vec(), TcId(2), Lsn(3));
         assert_eq!(r.read_committed(), Some(&b"a"[..]));
-        assert!(r.revert());
+        assert!(r.revert(Lsn(3)));
         assert_eq!(r.read_latest(), Some(&b"a"[..]));
         assert_eq!(r.current_commit, Some(Lsn::NULL));
         // A committed delete leaves no floor: the record is absent.

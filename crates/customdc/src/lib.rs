@@ -15,7 +15,13 @@
 //! * **causality** — snapshots persist only operations covered by the
 //!   TC's end-of-stable-log;
 //! * **checkpoint / restart** — snapshot-based, with TC-crash reset by
-//!   reloading the stable snapshot.
+//!   reloading the stable snapshot;
+//! * **stamp and revert** — the TC commits a write with `StampCommit`
+//!   and undoes it with `RevertVersion`, both naming the write's op LSN,
+//!   so the store keeps the committed doc beneath each unstamped write
+//!   (one doc, not a chain). That same doc serves `Committed` readers.
+//!   `Snapshot` readers are served the latest doc: the store keeps no
+//!   commit-LSN history (ROADMAP item 4).
 //!
 //! Writing such a DC is, as the paper promises, "simpler than designing
 //! and coding a high-performance transactional storage subsystem": the
@@ -35,8 +41,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use unbundled_core::codec::{Decoder, Encoder};
 use unbundled_core::{
-    DataComponentApi, DcError, DcId, DcToTc, Key, LogicalOp, Lsn, OpResult, PageId, PerTcAbLsn,
-    RequestId, TableId, TcId, TcToDc,
+    CoreError, DataComponentApi, DcError, DcId, DcToTc, Key, LogicalOp, Lsn, OpResult, PageId,
+    PerTcAbLsn, ReadFlavor, RequestId, TableId, TcId, TcToDc,
 };
 use unbundled_storage::SimDisk;
 
@@ -85,8 +91,15 @@ impl SecondaryIndexer for GridIndexer {
 }
 
 struct Store {
+    /// Latest documents: committed, or written by an in-flight op.
     docs: BTreeMap<Key, Vec<u8>>,
-    /// index entry → documents.
+    /// Documents under an unstamped write: key → (op LSN of the last
+    /// such write, the committed doc beneath it; `None` = absent). This
+    /// is the whole version state revert and stamp need: a write notes
+    /// the doc it replaces, `StampCommit` of its op drops the entry, and
+    /// `RevertVersion` restores the doc beneath.
+    pending: BTreeMap<Key, (Lsn, Option<Vec<u8>>)>,
+    /// index entry → documents (over `docs`).
     index: BTreeMap<Key, BTreeSet<Key>>,
     ab: PerTcAbLsn,
     /// Replication stream frontier applied so far (replica role); rides
@@ -95,16 +108,24 @@ struct Store {
     frontier: Lsn,
 }
 
+fn corrupt(e: CoreError) -> DcError {
+    DcError::Corrupt(e.to_string())
+}
+
 impl Store {
     fn new() -> Store {
         Store {
             docs: BTreeMap::new(),
+            pending: BTreeMap::new(),
             index: BTreeMap::new(),
             ab: PerTcAbLsn::new(),
             frontier: Lsn(0),
         }
     }
 
+    /// The snapshot image. It carries `pending`, so an uncommitted write
+    /// that causality let into a snapshot can still be reverted after a
+    /// crash.
     fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         self.ab.encode(&mut e);
@@ -114,44 +135,46 @@ impl Store {
             e.bytes(k.as_bytes());
             e.bytes(v);
         }
+        e.u32(self.pending.len() as u32);
+        for (k, (op, beneath)) in &self.pending {
+            e.bytes(k.as_bytes());
+            e.u64(op.0);
+            e.bool(beneath.is_some());
+            e.bytes(beneath.as_deref().unwrap_or_default());
+        }
         e.finish()
     }
 
     fn decode(buf: &[u8], indexer: &dyn SecondaryIndexer) -> Result<Store, DcError> {
         let mut d = Decoder::new(buf);
-        let ab = PerTcAbLsn::decode(&mut d).map_err(|e| DcError::Corrupt(e.to_string()))?;
-        let frontier = Lsn(d.u64().map_err(|e| DcError::Corrupt(e.to_string()))?);
-        let n = d.u32().map_err(|e| DcError::Corrupt(e.to_string()))? as usize;
-        let mut s = Store {
-            docs: BTreeMap::new(),
-            index: BTreeMap::new(),
-            ab,
-            frontier,
-        };
-        for _ in 0..n {
-            let k = Key::from_bytes(
-                d.bytes()
-                    .map_err(|e| DcError::Corrupt(e.to_string()))?
-                    .to_vec(),
-            );
-            let v = d
-                .bytes()
-                .map_err(|e| DcError::Corrupt(e.to_string()))?
-                .to_vec();
-            s.index_doc(&k, &v, indexer);
-            s.docs.insert(k, v);
+        let mut s = Store::new();
+        s.ab = PerTcAbLsn::decode(&mut d).map_err(corrupt)?;
+        s.frontier = Lsn(d.u64().map_err(corrupt)?);
+        for _ in 0..d.u32().map_err(corrupt)? {
+            let k = Key::from_bytes(d.bytes().map_err(corrupt)?.to_vec());
+            let v = d.bytes().map_err(corrupt)?.to_vec();
+            s.put(&k, Some(v), indexer);
+        }
+        for _ in 0..d.u32().map_err(corrupt)? {
+            let k = Key::from_bytes(d.bytes().map_err(corrupt)?.to_vec());
+            let op = Lsn(d.u64().map_err(corrupt)?);
+            let some = d.bool().map_err(corrupt)?;
+            let v = d.bytes().map_err(corrupt)?.to_vec();
+            s.pending.insert(k, (op, some.then_some(v)));
         }
         Ok(s)
     }
 
-    fn index_doc(&mut self, key: &Key, value: &[u8], indexer: &dyn SecondaryIndexer) {
-        for e in indexer.entries(key, value) {
-            self.index.entry(e).or_default().insert(key.clone());
-        }
-    }
-
-    fn unindex_doc(&mut self, key: &Key, value: &[u8], indexer: &dyn SecondaryIndexer) {
-        for e in indexer.entries(key, value) {
+    /// Replace `key`'s latest doc (`None` removes it), moving its index
+    /// entries along; returns the doc replaced.
+    fn put(
+        &mut self,
+        key: &Key,
+        value: Option<Vec<u8>>,
+        indexer: &dyn SecondaryIndexer,
+    ) -> Option<Vec<u8>> {
+        let old = self.docs.remove(key);
+        for e in old.iter().flat_map(|v| indexer.entries(key, v)) {
             if let Some(set) = self.index.get_mut(&e) {
                 set.remove(key);
                 if set.is_empty() {
@@ -159,6 +182,81 @@ impl Store {
                 }
             }
         }
+        if let Some(v) = value {
+            for e in indexer.entries(key, &v) {
+                self.index.entry(e).or_default().insert(key.clone());
+            }
+            self.docs.insert(key.clone(), v);
+        }
+        old
+    }
+
+    /// The doc a reader at `flavor` sees under `key`. `Committed` reads
+    /// the doc beneath an unstamped write. `Snapshot` is served like
+    /// `Latest`: this store keeps no commit-LSN history.
+    fn visible(&self, key: &Key, flavor: ReadFlavor) -> Option<&Vec<u8>> {
+        match (flavor, self.pending.get(key)) {
+            (ReadFlavor::Committed, Some((_, beneath))) => beneath.as_ref(),
+            _ => self.docs.get(key),
+        }
+    }
+
+    /// Keys of `docs` and `pending` from `low` up, ascending and without
+    /// repeats: every key a reader of any flavor may find a doc under.
+    fn keys_from<'a>(&'a self, low: &Key) -> impl Iterator<Item = &'a Key> + 'a {
+        let mut docs = self.docs.range(low.clone()..).map(|(k, _)| k).peekable();
+        let mut pending = self.pending.range(low.clone()..).map(|(k, _)| k).peekable();
+        std::iter::from_fn(move || match (docs.peek(), pending.peek()) {
+            (Some(d), Some(p)) if p < d => pending.next(),
+            (Some(d), Some(p)) if p == d => {
+                pending.next();
+                docs.next()
+            }
+            (Some(_), _) => docs.next(),
+            (None, _) => pending.next(),
+        })
+    }
+
+    /// Apply one mutation of the data table, made by op `lsn`.
+    fn apply(
+        &mut self,
+        op: &LogicalOp,
+        lsn: Lsn,
+        indexer: &dyn SecondaryIndexer,
+    ) -> Result<(), DcError> {
+        let (key, value) = match op {
+            LogicalOp::Insert { table, key, .. } if self.docs.contains_key(key) => {
+                return Err(DcError::DuplicateKey(*table, key.clone()));
+            }
+            LogicalOp::Update { table, key, .. } | LogicalOp::Delete { table, key }
+                if !self.docs.contains_key(key) =>
+            {
+                return Err(DcError::KeyNotFound(*table, key.clone()));
+            }
+            LogicalOp::Insert { key, value, .. }
+            | LogicalOp::Update { key, value, .. }
+            | LogicalOp::VersionedWrite { key, value, .. } => (key, Some(value.clone())),
+            LogicalOp::Delete { key, .. } => (key, None),
+            LogicalOp::RevertVersion { key, op, .. } => {
+                if self.pending.get(key).is_some_and(|(last, _)| last <= op) {
+                    let (_, beneath) = self.pending.remove(key).expect("checked");
+                    self.put(key, beneath, indexer);
+                }
+                return Ok(());
+            }
+            LogicalOp::StampCommit { key, op, .. } => {
+                if self.pending.get(key).is_some_and(|(last, _)| last == op) {
+                    self.pending.remove(key);
+                }
+                return Ok(());
+            }
+            other => return Err(DcError::NoSuchTable(other.table())),
+        };
+        let old = self.put(key, value, indexer);
+        // The first unstamped write notes the committed doc beneath;
+        // later ones only move the op LSN a stamp or revert must name.
+        self.pending.entry(key.clone()).or_insert((lsn, old)).0 = lsn;
+        Ok(())
     }
 }
 
@@ -358,58 +456,34 @@ impl SimpleDc {
     ) -> Result<OpResult, DcError> {
         let indexer = self.indexer.clone();
         match op {
-            LogicalOp::Insert { table, key, value } | LogicalOp::Update { table, key, value }
-                if *table == self.data_table =>
-            {
+            op if op.is_mutation() && op.table() == self.data_table => {
                 let lsn = req.lsn().expect("mutation lsn");
-                if store.ab.get(tc).map(|ab| ab.includes(lsn)).unwrap_or(false) {
+                if store.ab.get(tc).is_some_and(|ab| ab.includes(lsn)) {
                     return Ok(OpResult::Done);
                 }
-                if let Some(old) = store.docs.get(key).cloned() {
-                    if matches!(op, LogicalOp::Insert { .. }) {
-                        return Err(DcError::DuplicateKey(*table, key.clone()));
-                    }
-                    store.unindex_doc(key, &old, &*indexer);
-                } else if matches!(op, LogicalOp::Update { .. }) {
-                    return Err(DcError::KeyNotFound(*table, key.clone()));
-                }
-                store.index_doc(key, value, &*indexer);
-                store.docs.insert(key.clone(), value.clone());
+                store.apply(op, lsn, &*indexer)?;
                 store.ab.get_mut(tc).record(lsn);
                 Ok(OpResult::Done)
             }
-            LogicalOp::Delete { table, key } if *table == self.data_table => {
-                let lsn = req.lsn().expect("mutation lsn");
-                if store.ab.get(tc).map(|ab| ab.includes(lsn)).unwrap_or(false) {
-                    return Ok(OpResult::Done);
-                }
-                match store.docs.remove(key) {
-                    Some(old) => {
-                        store.unindex_doc(key, &old, &*indexer);
-                        store.ab.get_mut(tc).record(lsn);
-                        Ok(OpResult::Done)
-                    }
-                    None => Err(DcError::KeyNotFound(*table, key.clone())),
-                }
-            }
-            LogicalOp::Read { table, key, .. } if *table == self.data_table => {
-                Ok(OpResult::Value(store.docs.get(key).cloned()))
+            LogicalOp::Read { table, key, flavor } if *table == self.data_table => {
+                Ok(OpResult::Value(store.visible(key, *flavor).cloned()))
             }
             LogicalOp::ScanRange {
                 table,
                 low,
                 high,
                 limit,
-                ..
+                flavor,
             } => {
                 if *table == self.data_table {
                     let mut out = Vec::new();
-                    for (k, v) in store.docs.range(low.clone()..) {
-                        if let Some(h) = high {
-                            if k >= h {
-                                break;
-                            }
+                    for k in store.keys_from(low) {
+                        if high.as_ref().is_some_and(|h| k >= h) {
+                            break;
                         }
+                        let Some(v) = store.visible(k, *flavor) else {
+                            continue;
+                        };
                         out.push((k.clone(), v.clone()));
                         if limit.map(|l| out.len() >= l).unwrap_or(false) {
                             break;
@@ -634,6 +708,164 @@ mod tests {
             Some(DcToTc::Reply { result, .. }) => result,
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    fn apply(dc: &SimpleDc, lsn: u64, op: LogicalOp) {
+        perform(dc, RequestId::Op(Lsn(lsn)), op).unwrap();
+    }
+
+    fn put(key: u64, value: &[u8]) -> LogicalOp {
+        LogicalOp::VersionedWrite {
+            table: DOCS,
+            key: Key::from_u64(key),
+            value: value.to_vec(),
+        }
+    }
+
+    fn stamp(key: u64, op: u64) -> LogicalOp {
+        LogicalOp::StampCommit {
+            table: DOCS,
+            key: Key::from_u64(key),
+            op: Lsn(op),
+            commit: Lsn(op + 1),
+        }
+    }
+
+    fn revert(key: u64, op: u64) -> LogicalOp {
+        LogicalOp::RevertVersion {
+            table: DOCS,
+            key: Key::from_u64(key),
+            op: Lsn(op),
+        }
+    }
+
+    fn read(dc: &SimpleDc, key: u64, flavor: ReadFlavor) -> Option<Vec<u8>> {
+        let op = LogicalOp::Read {
+            table: DOCS,
+            key: Key::from_u64(key),
+            flavor,
+        };
+        perform(dc, RequestId::Read(0), op).unwrap().into_value()
+    }
+
+    fn scan(dc: &SimpleDc, table: TableId, low: Key, flavor: ReadFlavor) -> Vec<(Key, Vec<u8>)> {
+        let op = LogicalOp::ScanRange {
+            table,
+            low,
+            high: None,
+            limit: None,
+            flavor,
+        };
+        perform(dc, RequestId::Read(0), op).unwrap().into_entries()
+    }
+
+    fn hits(dc: &SimpleDc, term: &str) -> usize {
+        scan(dc, VIEW, Key::from_str_key(term), ReadFlavor::Latest).len()
+    }
+
+    #[test]
+    fn committed_reads_and_scans_see_the_doc_beneath_an_unstamped_write() {
+        let dc = text_dc();
+        apply(&dc, 1, put(1, b"v0"));
+        apply(&dc, 2, stamp(1, 1));
+        apply(&dc, 3, put(2, b"w0"));
+        apply(&dc, 4, stamp(2, 3));
+        // In flight: an update of 1, a delete of 2, an insert of 3.
+        apply(&dc, 5, put(1, b"dirty"));
+        let delete = LogicalOp::Delete {
+            table: DOCS,
+            key: Key::from_u64(2),
+        };
+        apply(&dc, 6, delete);
+        let insert = LogicalOp::Insert {
+            table: DOCS,
+            key: Key::from_u64(3),
+            value: b"new".to_vec(),
+        };
+        apply(&dc, 7, insert);
+        assert_eq!(read(&dc, 1, ReadFlavor::Committed), Some(b"v0".to_vec()));
+        assert_eq!(read(&dc, 1, ReadFlavor::Latest), Some(b"dirty".to_vec()));
+        assert_eq!(read(&dc, 2, ReadFlavor::Committed), Some(b"w0".to_vec()));
+        assert_eq!(read(&dc, 2, ReadFlavor::Latest), None);
+        assert_eq!(read(&dc, 3, ReadFlavor::Committed), None);
+        let row = |k: u64, v: &[u8]| (Key::from_u64(k), v.to_vec());
+        assert_eq!(
+            scan(&dc, DOCS, Key::empty(), ReadFlavor::Committed),
+            vec![row(1, b"v0"), row(2, b"w0")]
+        );
+        assert_eq!(
+            scan(&dc, DOCS, Key::empty(), ReadFlavor::Latest),
+            vec![row(1, b"dirty"), row(3, b"new")]
+        );
+        // Only the stamp of the last write publishes it.
+        apply(&dc, 8, stamp(2, 3));
+        assert_eq!(read(&dc, 2, ReadFlavor::Committed), Some(b"w0".to_vec()));
+        apply(&dc, 9, stamp(1, 5));
+        assert_eq!(read(&dc, 1, ReadFlavor::Committed), Some(b"dirty".to_vec()));
+    }
+
+    #[test]
+    fn revert_restores_the_committed_doc_and_its_index_entries() {
+        let dc = text_dc();
+        apply(&dc, 1, put(1, b"golden gate"));
+        apply(&dc, 2, stamp(1, 1));
+        // One transaction writes key 1 twice and inserts key 2.
+        apply(&dc, 3, put(1, b"silver bridge"));
+        apply(&dc, 4, put(1, b"bronze gate"));
+        apply(&dc, 5, put(2, b"golden retriever"));
+        assert_eq!(hits(&dc, "golden"), 1);
+        // One revert per key, naming its last write.
+        apply(&dc, 6, revert(1, 4));
+        apply(&dc, 7, revert(2, 5));
+        assert_eq!(
+            read(&dc, 1, ReadFlavor::Latest),
+            Some(b"golden gate".to_vec())
+        );
+        assert_eq!(read(&dc, 2, ReadFlavor::Latest), None);
+        assert_eq!(dc.doc_count(), 1);
+        assert_eq!(hits(&dc, "golden"), 1);
+        assert_eq!(hits(&dc, "gate"), 1);
+        assert_eq!(hits(&dc, "silver") + hits(&dc, "bronze"), 0);
+        // A resent revert is a no-op, and one naming an older op never
+        // touches a later writer's doc.
+        apply(&dc, 8, revert(1, 4));
+        apply(&dc, 9, put(1, b"later"));
+        apply(&dc, 10, revert(1, 4));
+        assert_eq!(read(&dc, 1, ReadFlavor::Latest), Some(b"later".to_vec()));
+        assert_eq!(
+            read(&dc, 1, ReadFlavor::Committed),
+            Some(b"golden gate".to_vec())
+        );
+    }
+
+    #[test]
+    fn an_unstamped_write_in_the_snapshot_reverts_after_a_crash() {
+        let disk = SimDisk::new();
+        let dc = SimpleDc::new(DcId(5), DOCS, VIEW, Arc::new(TextIndexer), disk.clone());
+        apply(&dc, 1, put(1, b"committed"));
+        apply(&dc, 2, stamp(1, 1));
+        apply(&dc, 3, put(1, b"uncommitted"));
+        let mut out = Vec::new();
+        dc.handle(
+            TcToDc::EndOfStableLog {
+                tc: TcId(1),
+                eosl: Lsn(3),
+            },
+            &mut out,
+        );
+        assert!(dc.try_snapshot());
+        let dc = SimpleDc::recover(DcId(5), DOCS, VIEW, Arc::new(TextIndexer), disk);
+        assert_eq!(
+            read(&dc, 1, ReadFlavor::Committed),
+            Some(b"committed".to_vec())
+        );
+        apply(&dc, 4, revert(1, 3));
+        assert_eq!(
+            read(&dc, 1, ReadFlavor::Latest),
+            Some(b"committed".to_vec())
+        );
+        assert_eq!(hits(&dc, "uncommitted"), 0);
+        assert_eq!(hits(&dc, "committed"), 1);
     }
 
     #[test]

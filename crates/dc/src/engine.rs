@@ -484,9 +484,9 @@ impl DcEngine {
                 }
                 Ok(false)
             }
-            LogicalOp::RevertVersion { key, .. } => {
+            LogicalOp::RevertVersion { key, op, .. } => {
                 let remove = match leaf.find_mut(key) {
-                    Some(rec) => !rec.revert(),
+                    Some(rec) => !rec.revert(*op),
                     None => false,
                 };
                 if remove {

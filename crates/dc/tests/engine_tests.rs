@@ -831,10 +831,11 @@ fn versioned_table_lifecycle() {
             .perform(owner, RequestId::Op(Lsn(lsn)), &op)
             .unwrap();
     };
-    let revert = |lsn| {
+    let revert = |lsn, op| {
         let op = LogicalOp::RevertVersion {
             table: vt,
             key: key.clone(),
+            op: Lsn(op),
         };
         fx.engine
             .perform(owner, RequestId::Op(Lsn(lsn)), &op)
@@ -866,14 +867,15 @@ fn versioned_table_lifecycle() {
         )
         .unwrap();
     assert_eq!(read(ReadFlavor::Committed), Some(b"draft".to_vec()));
-    // Two updates in one transaction + abort: the first revert restores
-    // the committed version, the second finds nothing left to do.
+    // Two updates in one transaction + abort: one revert naming the
+    // last write restores the committed version; a second revert of
+    // the same write finds nothing left to do.
     write(4, b"edit");
     write(5, b"edit again");
     assert_eq!(read(ReadFlavor::Committed), Some(b"draft".to_vec()));
     assert_eq!(read(ReadFlavor::Latest), Some(b"edit again".to_vec()));
-    revert(6);
-    revert(7);
+    revert(6, 5);
+    revert(7, 5);
     assert_eq!(read(ReadFlavor::Committed), Some(b"draft".to_vec()));
     assert_eq!(read(ReadFlavor::Latest), Some(b"draft".to_vec()));
     assert_eq!(
@@ -891,7 +893,11 @@ fn versioned_table_lifecycle() {
     fx.engine
         .perform(owner, RequestId::Op(Lsn(8)), &insert)
         .unwrap();
-    let undo = insert.inverse(None).unwrap();
+    let undo = LogicalOp::RevertVersion {
+        table: vt,
+        key: other.clone(),
+        op: Lsn(8),
+    };
     fx.engine
         .perform(owner, RequestId::Op(Lsn(9)), &undo)
         .unwrap();

@@ -2,9 +2,10 @@
 //!
 //! The **Transactional Component** of the unbundled kernel (paper
 //! Section 4.1.1): transactional locking without knowledge of pages,
-//! logical undo/redo logging, log forcing for durability, transaction
-//! atomicity via inverse operations, checkpointing (redo scan start
-//! point) and restart.
+//! logical redo logging, log forcing for durability, transaction
+//! atomicity by reverting the versions a transaction wrote (its write
+//! set is its undo log), checkpointing (redo scan start point) and
+//! restart.
 //!
 //! The TC is a *client* of one or more Data Components, speaking the
 //! message API in `unbundled-core` under the interaction contracts:
@@ -13,7 +14,7 @@
 //! and the checkpoint/restart conversations.
 //!
 //! Modules:
-//! * [`tclog`] — the logical log (redo ops + inverse undo ops; OPSR
+//! * [`tclog`] — the logical log (redo ops, reverts and stamps; OPSR
 //!   order by lock-before-log).
 //! * [`acks`] — ack tracking → low-water mark computation.
 //! * [`routing`] — table→DC routing and the Section 3.1 range-locking

@@ -6,8 +6,9 @@
 //! beyond the stable log end (causality guarantees they are cache-only),
 //! then repeat history logically — resend every logged operation from the
 //! redo scan start point in LSN order (idempotence makes this
-//! exactly-once) — and finally roll back loser transactions with inverse
-//! operations taken from the logged undo information.
+//! exactly-once) — and finally roll back loser transactions: each loser's
+//! write set (last write LSN per key, read off its `Op` records) is its
+//! whole undo log, one `RevertVersion` per key.
 //!
 //! **DC-crash recovery** (the DC rebooted from its stable state; the TC
 //! is healthy): after the DC's own restart has made its structures
@@ -15,13 +16,14 @@
 //! (including the *unforced* tail — the TC's log buffer is intact).
 //! Active transactions keep running afterwards; nothing is rolled back.
 
+use crate::session::Path;
 use crate::stats::TcStats;
-use crate::tc::Tc;
+use crate::tc::{Tc, WriteSet};
 use crate::tclog::TcLogRecord;
 use crate::twopc::TwopcOutcome;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use unbundled_core::{DcId, Key, LogicalOp, Lsn, TableId, TcError, TcId, TxnId};
+use unbundled_core::{DcId, Lsn, TcError, TcId, TxnId};
 
 impl Tc {
     /// Full TC restart from the stable log. Call after `register_dc` /
@@ -32,18 +34,19 @@ impl Tc {
         let stable_end = self.log.stable();
         let records = self.log.store().read_all_stable();
 
-        // --- Analysis: losers, undo chains, RSSP. A transaction's first
-        // record is its first `Op` or `Prepare`, so that is where
-        // analysis learns of it; it stays a loser unless a resolution
-        // record follows. Redo-only records never create one. A commit
+        // --- Analysis: losers and their write sets, RSSP. A
+        // transaction's first record is its first `Op` or `Prepare`, so
+        // that is where analysis learns of it; it stays a loser unless a
+        // resolution record follows. Redo-only records never create one. A commit
         // is one log group — its stamps, then its resolution record — so
         // a stable resolution record implies stable stamps, which redo
         // resends like any other record.
         let mut rssp = Lsn(1);
-        let mut losers: HashMap<TxnId, Vec<(Lsn, DcId, LogicalOp)>> = HashMap::new();
-        // Each unresolved transaction's last write per key: a prepared
-        // branch committed below stamps these.
-        let mut wtrack: HashMap<TxnId, HashMap<(DcId, TableId, Key), Lsn>> = HashMap::new();
+        // Each unresolved transaction's write set: undo reverts it, and
+        // a prepared branch committed below stamps it. It counts a
+        // failed last op too (the log cannot tell), which is why a
+        // revert acts on any version at or below the LSN it names.
+        let mut losers: HashMap<TxnId, WriteSet> = HashMap::new();
         // Cross-TC 2PC state: prepared participant branches (in-doubt
         // unless a later resolution record appears), our own retained
         // commit decisions (re-pinned and re-broadcast), and each
@@ -80,19 +83,11 @@ impl Tc {
                 TcLogRecord::PromoteIntent { old, new } => {
                     promote_intents.push((*old, *new));
                 }
-                TcLogRecord::Op { txn, dc, op, undo } => {
+                TcLogRecord::Op { txn, dc, op } => {
                     firsts.entry(*txn).or_insert(Lsn(*seq));
-                    let chain = losers.entry(*txn).or_default();
-                    if let Some(u) = undo {
-                        chain.push((Lsn(*seq), *dc, u.clone()));
-                    }
-                    if op.is_mutation() {
-                        if let Some(k) = op.point_key() {
-                            wtrack
-                                .entry(*txn)
-                                .or_default()
-                                .insert((*dc, op.table(), k.clone()), Lsn(*seq));
-                        }
+                    let writes = losers.entry(*txn).or_default();
+                    if let Some(k) = op.point_key() {
+                        writes.insert((*dc, op.table(), k.clone()), Lsn(*seq));
                     }
                 }
                 TcLogRecord::Commit { txn }
@@ -101,7 +96,6 @@ impl Tc {
                 | TcLogRecord::ParticipantAbort { txn } => {
                     losers.remove(txn);
                     prepared.remove(txn);
-                    wtrack.remove(txn);
                 }
                 TcLogRecord::Prepare { txn, coord, gtxn } => {
                     // A branch opened only by reads logs its Prepare first.
@@ -119,7 +113,6 @@ impl Tc {
                     if !participants.is_empty() {
                         decisions.push((*txn, participants.clone(), Lsn(*seq)));
                     }
-                    wtrack.remove(txn);
                 }
                 TcLogRecord::RedoOnly { .. } | TcLogRecord::RebalanceIntent { .. } => {}
                 TcLogRecord::RebalanceDone {
@@ -154,16 +147,8 @@ impl Tc {
         // the coordinator's log commits the branch; no decision and no
         // live coordinator transaction aborts it; a coordinator still
         // mid-commit parks the branch with its locks re-acquired.
-        #[allow(clippy::type_complexity)]
-        let mut branch_commits: Vec<(
-            TxnId,
-            TcId,
-            TxnId,
-            HashMap<(DcId, TableId, Key), Lsn>,
-        )> = Vec::new();
-        #[allow(clippy::type_complexity)]
-        let mut branch_parks: Vec<(TxnId, TcId, TxnId, Lsn, Vec<(Lsn, DcId, LogicalOp)>)> =
-            Vec::new();
+        let mut branch_commits: Vec<(TxnId, TcId, TxnId, WriteSet)> = Vec::new();
+        let mut branch_parks: Vec<(TxnId, TcId, TxnId, Lsn, WriteSet)> = Vec::new();
         for (txn, (coord, gtxn)) in &prepared {
             if !losers.contains_key(txn) {
                 continue;
@@ -175,16 +160,15 @@ impl Tc {
             };
             match outcome {
                 TwopcOutcome::Committed => {
-                    losers.remove(txn);
                     // The branch's versions are stamped at the fresh
                     // ParticipantCommit LSN logged below.
-                    let writes = wtrack.remove(txn).unwrap_or_default();
+                    let writes = losers.remove(txn).unwrap_or_default();
                     branch_commits.push((*txn, *coord, *gtxn, writes));
                 }
                 TwopcOutcome::InDoubt => {
-                    let chain = losers.remove(txn).unwrap_or_default();
+                    let writes = losers.remove(txn).unwrap_or_default();
                     let first = firsts.get(txn).copied().unwrap_or(Lsn(1));
-                    branch_parks.push((*txn, *coord, *gtxn, first, chain));
+                    branch_parks.push((*txn, *coord, *gtxn, first, writes));
                 }
                 // Stays a loser; undone below (with a ParticipantAbort
                 // record instead of Abort).
@@ -220,22 +204,11 @@ impl Tc {
             }
         }
 
-        // --- Undo losers: inverse operations in reverse LSN order.
-        let mut undo_work: Vec<(Lsn, TxnId, DcId, LogicalOp)> = Vec::new();
-        for (txn, chain) in &losers {
-            for (lsn, dc, inv) in chain {
-                undo_work.push((*lsn, *txn, *dc, inv.clone()));
-            }
-        }
-        undo_work.sort_by_key(|w| std::cmp::Reverse(w.0));
-        for (_, txn, dc, inv) in undo_work {
-            let l = self.log_op_record(TcLogRecord::RedoOnly {
-                txn,
-                dc,
-                op: inv.clone(),
-            });
-            TcStats::bump(&self.stats().undo_ops);
-            self.session.redo(dc, l, &inv)?;
+        // --- Undo losers: revert each one's write set. Losers held X
+        // locks on what they wrote, so their write sets are disjoint
+        // and the order across losers does not matter.
+        for (txn, writes) in &mut losers {
+            self.revert_writes(*txn, std::mem::take(writes), Path::Bypass)?;
         }
         for txn in losers.keys() {
             // A prepared branch resolves with the participant-side 2PC
@@ -251,7 +224,7 @@ impl Tc {
             let resolution = TcLogRecord::ParticipantCommit { txn: *txn };
             let (_, stamps) = self.log_commit(*txn, std::mem::take(writes), resolution);
             for (dc, l, op) in &stamps {
-                self.session.redo(*dc, *l, op)?;
+                self.send_redo_only(*dc, *l, op, Path::Bypass)?;
             }
         }
         self.force_log();
@@ -259,8 +232,8 @@ impl Tc {
         // --- Park still-in-doubt branches (locks re-acquired) before
         // accepting new work, so conflicting transactions block instead
         // of reading uncommitted state.
-        for (txn, coord, gtxn, first, chain) in branch_parks {
-            self.park_indoubt_recovered(txn, coord, gtxn, first, &chain);
+        for (txn, coord, gtxn, first, writes) in branch_parks {
+            self.park_indoubt_recovered(txn, coord, gtxn, first, writes);
         }
 
         // --- Restart conversation, half two: done; resume.

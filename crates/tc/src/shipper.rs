@@ -13,7 +13,7 @@
 //!   same log group, just below it); an `Abort` discards them together
 //!   with the compensations that undid them (rolled-back work is never
 //!   shipped, so a replica can never serve dirty or rolled-back data,
-//!   nor replay an inverse of something it never saw). Lock-before-log
+//!   nor replay a revert of something it never saw). Lock-before-log
 //!   ordering guarantees that conflicting operations appear in the
 //!   stream in their serialization order: strict two-phase locking
 //!   means a conflicting successor cannot even be logged until its

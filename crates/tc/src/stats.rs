@@ -208,8 +208,13 @@ tc_stats! {
     checkpoints => "tc.checkpoints", "checkpoints taken";
     /// Operations resent during recovery (redo).
     redo_resends => "tc.redo_resends", "recovery redo resends";
-    /// Inverse operations sent during rollback/recovery (undo).
+    /// Version reverts sent during rollback/recovery (undo): one per
+    /// key a rolled-back transaction wrote.
     undo_ops => "tc.undo_ops", "undo operations sent";
+    /// Redo-only records (commit stamps and version reverts) a DC
+    /// answered with an error: a DC that does not honour the stamp and
+    /// revert contract shows up here instead of failing silently.
+    redo_only_rejects => "tc.redo_only_rejects", "stamps and reverts a DC rejected";
     /// DC-crash recoveries driven.
     dc_recoveries => "tc.dc_recoveries", "DC recoveries driven";
     /// EOSL/LWM publications skipped because a group-commit leader's

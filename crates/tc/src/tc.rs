@@ -3,9 +3,10 @@
 //! The TC wraps all requests from the application stack: it performs
 //! transactional locking *before* any request reaches a DC (so the DC
 //! never sees two conflicting operations concurrently — the invariant
-//! that makes OPSR logical logging sound), logs logical redo+undo, forces
-//! the log for durability, and guarantees atomicity by driving inverse
-//! operations on abort.
+//! that makes OPSR logical logging sound), logs logical redo, forces the
+//! log for durability, and guarantees atomicity by reverting the
+//! versions its writes made (one `RevertVersion` per key written) on
+//! abort.
 //!
 //! The TC knows tables, keys and key ranges — never pages.
 
@@ -91,6 +92,11 @@ impl Default for TcConfig {
     }
 }
 
+/// A transaction's write set: its last write op LSN per key. Commit
+/// stamps the version each entry names and abort reverts it, so the
+/// write set is all the undo information a transaction has.
+pub(crate) type WriteSet = HashMap<(DcId, TableId, Key), Lsn>;
+
 /// Per-transaction state. Its collections start empty and allocate on
 /// first use.
 #[derive(Default)]
@@ -101,18 +107,18 @@ pub(crate) struct TxnState {
     /// transaction enters the log with its first `Op`, `Prepare` or
     /// `CommitDecision` (see [`Tc::enter_log`]).
     pub(crate) first_lsn: Option<Lsn>,
-    /// Inverse operations in forward order (rollback walks it backwards).
-    pub(crate) undo: Vec<(DcId, LogicalOp)>,
     /// DCs touched by this transaction.
     pub(crate) touched: HashSet<DcId>,
     /// Values known under lock: (table, key) → payload (None = absent).
-    /// This is where undo information for updates/deletes comes from.
+    /// Repeated locking reads, and reads of the transaction's own
+    /// writes, are served from here.
     pub(crate) cache: HashMap<(TableId, Key), Option<Vec<u8>>>,
-    /// Last write operation LSN per key this transaction mutated — the
-    /// version each commit stamp targets (earlier same-transaction
-    /// writes are dead the moment they are displaced and are never
-    /// stamped; GC reclaims them once their LSN falls under the LWM).
-    pub(crate) writes: HashMap<(DcId, TableId, Key), Lsn>,
+    /// The write set, and with it the whole undo log: the version each
+    /// commit stamp targets and each rollback revert names (earlier
+    /// same-transaction writes are dead the moment they are displaced
+    /// and are never stamped; GC reclaims them once their LSN falls
+    /// under the LWM).
+    pub(crate) writes: WriteSet,
     /// Pinned MVCC snapshot: the stable LSN captured at this
     /// transaction's first [`SnapshotSpec::Pinned`] read and reused for
     /// every later one (repeatable reads within the transaction).
@@ -540,7 +546,7 @@ impl Tc {
     }
 
     /// Known value of a key under lock (from the transaction's read
-    /// cache, or fetched now — undo information for updates/deletes).
+    /// cache, or fetched now).
     fn known_value(
         &self,
         st: &Arc<Mutex<TxnState>>,
@@ -633,25 +639,13 @@ impl Tc {
         }
         self.lock_or_abort(txn, LockName::Record(table, key.clone()), LockMode::X)?;
 
-        // --- Undo information (before logging — see `op.rs` docs).
-        let undo = match &op {
-            LogicalOp::Insert { .. } | LogicalOp::VersionedWrite { .. } => op.inverse(None),
-            LogicalOp::Update { .. } | LogicalOp::Delete { .. } => {
-                match self.known_value(&st, dc, table, &key)? {
-                    Some(prior) => op.inverse(Some(&prior)),
-                    None => None, // record absent: the op will fail deterministically
-                }
-            }
-            _ => None,
-        };
-
-        // --- Log, then send.
+        // --- Log, then send. The record is the redo form only: the
+        // write's undo is a revert of the version it makes.
         self.enter_log(&st);
         let lsn = self.log_op_record(TcLogRecord::Op {
             txn,
             dc,
             op: op.clone(),
-            undo: undo.clone(),
         });
         self.maybe_background_force();
         match self
@@ -660,11 +654,8 @@ impl Tc {
         {
             Ok(_) => {
                 let mut g = st.lock();
-                if let Some(inv) = undo {
-                    g.undo.push((dc, inv));
-                }
                 g.touched.insert(dc);
-                // Maintain the read cache for later undo info.
+                // Maintain the read cache for later locking reads.
                 let cached: Option<Vec<u8>> = match &op {
                     LogicalOp::Insert { value, .. }
                     | LogicalOp::Update { value, .. }
@@ -711,9 +702,8 @@ impl Tc {
         self.mutate(txn, LogicalOp::Delete { table, key })
     }
 
-    /// Versioned insert-or-update (cross-TC read-committed sharing,
-    /// Section 6.2.2). Stamped on commit, reverted on abort by
-    /// [`LogicalOp::RevertVersion`], which needs no before-image.
+    /// Insert-or-update: writes the record whether or not it exists.
+    /// Stamped on commit and reverted on abort like every write.
     pub fn versioned_write(
         &self,
         txn: TxnId,
@@ -1111,7 +1101,7 @@ impl Tc {
     pub(crate) fn log_commit(
         &self,
         txn: TxnId,
-        writes: impl IntoIterator<Item = ((DcId, TableId, Key), Lsn)>,
+        writes: WriteSet,
         resolution: TcLogRecord,
     ) -> (Lsn, Vec<(DcId, Lsn, LogicalOp)>) {
         let mut writes: Vec<_> = writes.into_iter().collect();
@@ -1156,9 +1146,58 @@ impl Tc {
         self.force_commit(commit);
         for (dc, l, op) in stamps {
             TcStats::bump(&self.stats.stamps_sent);
-            let _ = self
-                .session
-                .send_op(*dc, RequestId::Op(*l), op, Path::Gated)?;
+            self.send_redo_only(*dc, *l, op, Path::Gated)?;
+        }
+        Ok(())
+    }
+
+    /// Send the redo-only record at `lsn` (a stamp or a revert). A DC
+    /// that answers it with an error has not met the contract — the
+    /// version stays unpublished or un-reverted — so the rejection is
+    /// counted (`tc.redo_only_rejects`) rather than discarded.
+    pub(crate) fn send_redo_only(
+        &self,
+        dc: DcId,
+        lsn: Lsn,
+        op: &LogicalOp,
+        path: Path<'_>,
+    ) -> Result<(), TcError> {
+        if self
+            .session
+            .send_op(dc, RequestId::Op(lsn), op, path)?
+            .is_err()
+        {
+            TcStats::bump(&self.stats.redo_only_rejects);
+        }
+        Ok(())
+    }
+
+    /// Undo `txn`'s writes: one redo-only [`LogicalOp::RevertVersion`]
+    /// per key in `writes`, newest first, each naming the key's last
+    /// write LSN. Logged like compensation records, so recovery repeats
+    /// them but never undoes them. A run-time rollback (`Path::Gated`)
+    /// counts toward the background force; recovery forces once after
+    /// its whole undo pass.
+    pub(crate) fn revert_writes(
+        &self,
+        txn: TxnId,
+        writes: WriteSet,
+        path: Path<'_>,
+    ) -> Result<(), TcError> {
+        let mut writes: Vec<_> = writes.into_iter().collect();
+        writes.sort_by_key(|&(_, l)| std::cmp::Reverse(l));
+        for ((dc, table, key), op) in writes {
+            let revert = LogicalOp::RevertVersion { table, key, op };
+            let l = self.log_op_record(TcLogRecord::RedoOnly {
+                txn,
+                dc,
+                op: revert.clone(),
+            });
+            if let Path::Gated = path {
+                self.maybe_background_force();
+            }
+            TcStats::bump(&self.stats.undo_ops);
+            self.send_redo_only(dc, l, &revert, path)?;
         }
         Ok(())
     }
@@ -1189,7 +1228,8 @@ impl Tc {
         }
     }
 
-    /// Abort: roll back via inverse operations, then release locks.
+    /// Abort: revert every version the transaction wrote, then release
+    /// locks.
     pub fn abort(&self, txn: TxnId) -> Result<(), TcError> {
         self.ensure_available()?;
         self.rollback(txn)
@@ -1219,27 +1259,8 @@ impl Tc {
                 peer.decide_participant(self.id, txn, false);
             }
         }
-        // Inverse operations in reverse chronological order
-        // (Section 4.1.1(2b)), logged redo-only like compensation
-        // records so recovery repeats them but never undoes them.
-        let undo: Vec<(DcId, LogicalOp)> = {
-            let mut g = st.lock();
-            let mut u = std::mem::take(&mut g.undo);
-            u.reverse();
-            u
-        };
-        for (dc, inv) in undo {
-            let l = self.log_op_record(TcLogRecord::RedoOnly {
-                txn,
-                dc,
-                op: inv.clone(),
-            });
-            self.maybe_background_force();
-            TcStats::bump(&self.stats.undo_ops);
-            let _ = self
-                .session
-                .send_op(dc, RequestId::Op(l), &inv, Path::Gated)?;
-        }
+        let writes = std::mem::take(&mut st.lock().writes);
+        self.revert_writes(txn, writes, Path::Gated)?;
         // A transaction that logged nothing (it only read, or only
         // forwarded to other shards) has nothing to resolve in the log.
         if st.lock().first_lsn.is_some() {

@@ -1,10 +1,12 @@
 //! The TC's logical log (paper Section 4.1.1(3)).
 //!
-//! Every state-changing logical operation is logged with both its redo
-//! form (the operation itself — resent verbatim during recovery) and its
-//! undo form (the inverse operation, computed from the prior record
-//! state the TC knows under its locks). Because the TC never sees pages,
-//! no record here contains a page id: redo is *logical* (Section 3.2(1)).
+//! Every state-changing logical operation is logged in its redo form
+//! (the operation itself — resent verbatim during recovery). Its undo
+//! needs no record of its own: the DC keeps the committed state beneath
+//! every uncommitted write, so a transaction is undone by one
+//! [`LogicalOp::RevertVersion`] per key it wrote, naming that key's last
+//! write LSN. Because the TC never sees pages, no record here contains a
+//! page id: redo is *logical* (Section 3.2(1)).
 //!
 //! Lock-before-log discipline gives OPSR (order-preserving serializable)
 //! log order: conflicting operations are serialized by the lock manager
@@ -31,13 +33,10 @@ pub enum TcLogRecord {
         dc: DcId,
         /// The operation (redo form: resent verbatim).
         op: LogicalOp,
-        /// The inverse operation (undo form), if the operation is
-        /// undoable and succeeded-so-far knowledge allows one.
-        undo: Option<LogicalOp>,
     },
-    /// Redo-only operation: inverse operations issued during rollback
-    /// (the logical analogue of compensation log records) and
-    /// post-commit version stamps. Never undone.
+    /// Redo-only operation: version reverts issued during rollback (the
+    /// logical analogue of compensation log records) and post-commit
+    /// version stamps. Never undone.
     RedoOnly {
         /// Owning transaction.
         txn: TxnId,
@@ -87,13 +86,13 @@ pub enum TcLogRecord {
         txn: TxnId,
     },
     /// Cross-TC 2PC, participant side: the branch was aborted (all
-    /// inverse operations logged before this, as for
+    /// reverts logged before this, as for
     /// [`TcLogRecord::Abort`]).
     ParticipantAbort {
         /// The participant-local branch transaction.
         txn: TxnId,
     },
-    /// Transaction aborted (all inverse operations logged before this).
+    /// Transaction aborted (all reverts logged before this).
     Abort {
         /// Aborted transaction.
         txn: TxnId,
@@ -173,9 +172,8 @@ fn op_size(op: &LogicalOp) -> usize {
         LogicalOp::Insert { key, value, .. }
         | LogicalOp::Update { key, value, .. }
         | LogicalOp::VersionedWrite { key, value, .. } => 16 + key.len() + value.len(),
-        LogicalOp::Delete { key, .. }
-        | LogicalOp::RevertVersion { key, .. }
-        | LogicalOp::Read { key, .. } => 16 + key.len(),
+        LogicalOp::Delete { key, .. } | LogicalOp::Read { key, .. } => 16 + key.len(),
+        LogicalOp::RevertVersion { key, .. } => 24 + key.len(),
         LogicalOp::StampCommit { key, .. } => 32 + key.len(),
         LogicalOp::ScanRange { low, high, .. } => {
             16 + low.len() + high.as_ref().map(|h| h.len()).unwrap_or(0)
@@ -212,10 +210,7 @@ impl TcLogRecord {
             | TcLogRecord::Checkpoint { .. }
             | TcLogRecord::ParticipantCommit { .. }
             | TcLogRecord::ParticipantAbort { .. } => 17,
-            TcLogRecord::Op { op, undo, .. } => {
-                19 + op_size(op) + undo.as_ref().map(op_size).unwrap_or(0)
-            }
-            TcLogRecord::RedoOnly { op, .. } => 19 + op_size(op),
+            TcLogRecord::Op { op, .. } | TcLogRecord::RedoOnly { op, .. } => 19 + op_size(op),
             TcLogRecord::Promote { .. } => 21,
             TcLogRecord::PromoteIntent { .. } => 13,
             TcLogRecord::RebalanceIntent { .. } => 27,
@@ -280,7 +275,6 @@ impl TcLogHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unbundled_core::{Key, TableId};
 
     #[test]
     fn append_force_crash_semantics() {
@@ -291,29 +285,6 @@ mod tests {
         assert_eq!(h.force(), Lsn(1));
         h.append(TcLogRecord::Commit { txn: TxnId(1) });
         assert_eq!(h.store().crash(), 1, "unforced commit lost");
-    }
-
-    #[test]
-    fn op_record_sizes_include_undo() {
-        let op = LogicalOp::Update {
-            table: TableId(1),
-            key: Key::from_u64(1),
-            value: vec![0; 100],
-        };
-        let undo = op.inverse(Some(&[0; 50])).unwrap();
-        let with = TcLogRecord::Op {
-            txn: TxnId(1),
-            dc: DcId(1),
-            op: op.clone(),
-            undo: Some(undo),
-        };
-        let without = TcLogRecord::Op {
-            txn: TxnId(1),
-            dc: DcId(1),
-            op,
-            undo: None,
-        };
-        assert!(with.encoded_size() > without.encoded_size() + 50);
     }
 
     #[test]

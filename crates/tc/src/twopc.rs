@@ -34,13 +34,13 @@
 //! them, aborting the waiting transaction.
 
 use crate::stats::TcStats;
-use crate::tc::{Tc, TxnState};
+use crate::tc::{Tc, TxnState, WriteSet};
 use crate::tclog::TcLogRecord;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use unbundled_core::{
-    DcId, Key, LogicalOp, Lsn, ReadConsistency, TableId, TcError, TcId, TcShardMap, TxnId,
+    Key, LogicalOp, Lsn, ReadConsistency, TableId, TcError, TcId, TcShardMap, TxnId,
 };
 use unbundled_lockmgr::{LockMode, LockName};
 use unbundled_obs as obs;
@@ -653,54 +653,42 @@ impl Tc {
     /// Participant recovery: reconstruct an in-doubt branch whose
     /// coordinator is still mid-commit — re-acquire its locks and park
     /// it prepared until the decision broadcast (or a later
-    /// `resolve_indoubt`) arrives. The inverse ops name every key the
-    /// branch wrote; re-locking them restores the isolation the branch
-    /// held before the crash.
+    /// `resolve_indoubt`) arrives. Its write set (last write LSN per
+    /// key, read off its `Op` records) names every key the branch
+    /// wrote: re-locking them restores the isolation the branch held
+    /// before the crash, and a late decision stamps (or reverts) the
+    /// versions it names.
     pub(crate) fn park_indoubt_recovered(
         &self,
         local: TxnId,
         coord: TcId,
         gtxn: TxnId,
         first_lsn: Lsn,
-        chain: &[(Lsn, DcId, LogicalOp)],
+        writes: WriteSet,
     ) {
         let token = Self::token(local);
-        for (_, _, inv) in chain {
-            let table = inv.table();
+        for (_, table, key) in writes.keys() {
             let _ = self
                 .locks
-                .lock(token, LockName::Table(table), LockMode::IX, None);
-            if let Some(k) = inv.point_key() {
-                let _ =
-                    self.locks
-                        .lock(token, LockName::Record(table, k.clone()), LockMode::X, None);
-            }
+                .lock(token, LockName::Table(*table), LockMode::IX, None);
+            let _ = self.locks.lock(
+                token,
+                LockName::Record(*table, key.clone()),
+                LockMode::X,
+                None,
+            );
         }
-        // Re-derive the branch's last-write-per-key map so a commit
-        // decision arriving after the crash still stamps the branch's
-        // versions: the chain is in forward LSN order and each entry's
-        // LSN is the original op record's LSN — exactly the version id
-        // a stamp targets — so collecting lets later writes win.
-        let writes: HashMap<(DcId, TableId, Key), Lsn> = chain
-            .iter()
-            .filter_map(|(l, dc, inv)| inv.point_key().map(|k| ((*dc, inv.table(), k.clone()), *l)))
-            .collect();
         // Re-derive the branch's shard points from what it wrote, so a
         // rebalance drain started after the crash still sees the parked
         // branch as inside (or outside) the moving range.
-        let shard_points: HashSet<u64> = chain
-            .iter()
-            .filter_map(|(_, _, inv)| inv.point_key())
-            .map(unbundled_core::route_point)
+        let shard_points: HashSet<u64> = writes
+            .keys()
+            .map(|(_, _, key)| unbundled_core::route_point(key))
             .collect();
         let st = TxnState {
             id: local,
             first_lsn: Some(first_lsn),
-            undo: chain
-                .iter()
-                .map(|(_, dc, inv)| (*dc, inv.clone()))
-                .collect(),
-            touched: chain.iter().map(|(_, dc, _)| *dc).collect(),
+            touched: writes.keys().map(|(dc, _, _)| *dc).collect(),
             writes,
             part_of: Some((coord, gtxn)),
             prepared: true,

@@ -172,8 +172,9 @@ fn main() {
     let near = search(SHAPE_CELLS, Key::from_pair(1, 0));
     println!("spatial cell (1,0) → {} shapes (same object!)", near.len());
 
-    // An aborted upload leaves no trace in any store — the TC drives
-    // inverse operations into the custom DCs too.
+    // An aborted upload leaves no trace in any store — the custom DCs
+    // revert the versions the upload wrote, like the B-tree DC does.
+    let golden = hits.len();
     let txn = tc.begin().unwrap();
     tc.insert(txn, PHOTOS, Key::from_u64(102), b"blurry.jpg".to_vec())
         .unwrap();
@@ -186,6 +187,11 @@ fn main() {
     .unwrap();
     tc.abort(txn).unwrap();
     let hits = search(REVIEW_TERMS, Key::from_str_key("golden"));
+    assert_eq!(
+        hits.len(),
+        golden,
+        "the abort left the text index as it was"
+    );
     println!(
         "after abort, 'golden' still → {} reviews (unchanged)",
         hits.len()

@@ -31,11 +31,18 @@ fn main() {
     tc.commit(txn).unwrap();
     println!("committed two accounts");
 
-    // A transfer that fails mid-way is rolled back by inverse operations.
+    // A transfer that fails mid-way is rolled back: the DC reverts the
+    // version the update made, reinstating the committed one beneath.
     let doomed = tc.begin().unwrap();
     tc.update(doomed, ACCOUNTS, Key::from_u64(1), b"alice=0".to_vec())
         .unwrap();
     tc.abort(doomed).unwrap();
+    let check = tc.begin().unwrap();
+    let alice = tc
+        .read(check, ACCOUNTS, Key::from_u64(1), ReadConsistency::Locking)
+        .unwrap();
+    tc.commit(check).unwrap();
+    assert_eq!(alice.as_deref(), Some(&b"alice=100"[..]), "abort reverts");
     println!("aborted transfer rolled back");
 
     // Crash both components; recovery replays the logical log.

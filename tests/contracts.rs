@@ -5,13 +5,14 @@
 use std::sync::Arc;
 use unbundled::core::{
     DataComponentApi, DcId, DcToTc, Key, LogicalOp, Lsn, OpResult, RequestId, TableId, TableSpec,
-    TcError, TcId, TcToDc,
+    TcError, TcId, TcToDc, TxnId,
 };
+use unbundled::customdc::{GridIndexer, SecondaryIndexer, SimpleDc, TextIndexer};
 use unbundled::dc::{DcConfig, DcServer};
 use unbundled::kernel::{
     single, DcSlot, Deployment, FaultModel, InlineLink, ReplySink, TransportKind,
 };
-use unbundled::storage::LogStore;
+use unbundled::storage::{LogStore, SimDisk};
 use unbundled::tc::{AckTracker, ReadConsistency, TableRoute, Tc, TcConfig};
 
 const T: TableId = TableId(1);
@@ -167,6 +168,42 @@ fn repeatable_reads_from_transaction_cache() {
         "second read served from the txn cache"
     );
     tc.commit(t).unwrap();
+}
+
+#[test]
+fn a_blind_write_costs_one_dc_round_trip() {
+    // The undo of a write is a revert of the version it makes, so the
+    // TC fetches no before-image: an update or delete the transaction
+    // never read sends no read.
+    let d = single(
+        TcConfig::default(),
+        DcConfig::default(),
+        TransportKind::Inline,
+        &[TableSpec::plain(T, "t")],
+    );
+    let tc = d.tc(TcId(1));
+    let t0 = tc.begin().unwrap();
+    tc.insert(t0, T, Key::from_u64(1), b"a".to_vec()).unwrap();
+    tc.insert(t0, T, Key::from_u64(2), b"b".to_vec()).unwrap();
+    tc.commit(t0).unwrap();
+    let reads = || tc.stats().snapshot().reads_sent;
+    let before = reads();
+    let t = tc.begin().unwrap();
+    tc.update(t, T, Key::from_u64(1), b"a2".to_vec()).unwrap();
+    tc.commit(t).unwrap();
+    assert_eq!(reads(), before, "a blind update sends no read");
+    let t = tc.begin().unwrap();
+    tc.delete(t, T, Key::from_u64(2)).unwrap();
+    tc.commit(t).unwrap();
+    assert_eq!(reads(), before, "a blind delete sends no read");
+    assert_eq!(
+        read_once(&tc, T, Key::from_u64(1), ReadConsistency::Committed),
+        Some(b"a2".to_vec())
+    );
+    assert_eq!(
+        read_once(&tc, T, Key::from_u64(2), ReadConsistency::Committed),
+        None
+    );
 }
 
 #[test]
@@ -745,4 +782,197 @@ fn reply_of_the_wrong_shape_fails_the_operation_instead_of_panicking() {
     // The transaction is intact and the TC still serves it.
     assert_eq!(tc.active_txns(), vec![t]);
     tc.abort(t).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// One abort contract, run on every DC kind
+// ---------------------------------------------------------------------
+
+const DOCS: TableId = TableId(10);
+const TERMS: TableId = TableId(11);
+const TERM_LIST: [&str; 6] = ["golden", "gate", "silver", "bridge", "bronze", "hour"];
+
+/// Boots the DC under test as `DcId(1)`: freshly formatted (`false`),
+/// or from its stable state after a crash lost everything volatile
+/// (`true`).
+type BootDc = dyn Fn(bool) -> Arc<dyn DataComponentApi>;
+
+fn btree_dc() -> Box<BootDc> {
+    let disk = SimDisk::new();
+    let log = Arc::new(LogStore::new());
+    Box::new(move |recover| {
+        let cfg = DcConfig::default();
+        if recover {
+            log.crash();
+            return Arc::new(DcServer::recover(DcId(1), cfg, disk.clone(), log.clone()));
+        }
+        let dc = DcServer::format(DcId(1), cfg, disk.clone(), log.clone());
+        dc.create_table(TableSpec::plain(DOCS, "docs"));
+        Arc::new(dc)
+    })
+}
+
+fn text_dc() -> Box<BootDc> {
+    let disk = SimDisk::new();
+    Box::new(move |recover| {
+        let boot = if recover {
+            SimpleDc::recover
+        } else {
+            SimpleDc::new
+        };
+        boot(DcId(1), DOCS, TERMS, Arc::new(TextIndexer), disk.clone())
+    })
+}
+
+/// Everything a reader can observe of `DOCS`: a scan at each read
+/// flavor, and the secondary index's hits per term when the DC has one.
+fn observable(tc: &Tc, view: Option<TableId>) -> Vec<Vec<(Key, Vec<u8>)>> {
+    let t = tc.begin().unwrap();
+    let mut seen = Vec::new();
+    for how in [ReadConsistency::Dirty, ReadConsistency::Committed] {
+        seen.push(
+            tc.scan_with(t, DOCS, Key::empty(), None, None, how)
+                .unwrap(),
+        );
+    }
+    for term in view.map_or(&[][..], |_| &TERM_LIST[..]) {
+        let low = Key::from_str_key(term);
+        let hits = tc.scan_with(t, view.unwrap(), low, None, None, ReadConsistency::Dirty);
+        seen.push(hits.unwrap());
+    }
+    tc.commit(t).unwrap();
+    seen
+}
+
+/// Abort each kind of write on the DC `boot` makes, and check that the
+/// abort leaves exactly the pre-transaction state (`view`: the DC's
+/// secondary-index table, if it keeps one).
+fn abort_contract(boot: fn() -> Box<BootDc>, view: Option<TableId>) {
+    type Write = fn(&Tc, TxnId, &dyn Fn());
+    let doc = |k: u64| Key::from_u64(k);
+    let cases: [(&str, Write); 5] = [
+        ("insert", |tc, t, _| {
+            tc.insert(t, DOCS, Key::from_u64(3), b"golden hour".to_vec())
+                .unwrap()
+        }),
+        ("update", |tc, t, _| {
+            tc.update(t, DOCS, Key::from_u64(1), b"bronze bridge".to_vec())
+                .unwrap()
+        }),
+        ("delete", |tc, t, _| {
+            tc.delete(t, DOCS, Key::from_u64(2)).unwrap()
+        }),
+        ("two writes to one key", |tc, t, _| {
+            tc.update(t, DOCS, Key::from_u64(1), b"silver hour".to_vec())
+                .unwrap();
+            tc.delete(t, DOCS, Key::from_u64(1)).unwrap();
+        }),
+        (
+            "a write a DC crash interrupts",
+            |tc, t, crash_and_restart| {
+                tc.update(t, DOCS, Key::from_u64(2), b"bronze gate".to_vec())
+                    .unwrap();
+                // The checkpoint makes the uncommitted write stable at the
+                // DC, so its undo after the restart must come from there.
+                tc.checkpoint().unwrap();
+                crash_and_restart();
+            },
+        ),
+    ];
+    for (case, write) in cases {
+        let boot = boot();
+        let tc = Tc::new(TcId(1), TcConfig::default(), Arc::new(LogStore::new()));
+        let slot = DcSlot::new(boot(false));
+        tc.register_dc(
+            DcId(1),
+            InlineLink::new(slot.clone(), ReplySink::new(tc.clone())),
+        );
+        tc.register_table(DOCS, TableRoute::Single(DcId(1)));
+        if let Some(v) = view {
+            tc.register_table(v, TableRoute::Single(DcId(1)));
+        }
+        let t = tc.begin().unwrap();
+        tc.insert(t, DOCS, doc(1), b"golden gate".to_vec()).unwrap();
+        tc.insert(t, DOCS, doc(2), b"silver bridge".to_vec())
+            .unwrap();
+        tc.commit(t).unwrap();
+        let before = observable(&tc, view);
+        let crash_and_restart = || {
+            slot.take_down();
+            slot.install(boot(true));
+            tc.recover_dc(DcId(1)).unwrap();
+        };
+        let t = tc.begin().unwrap();
+        write(&tc, t, &crash_and_restart);
+        assert_ne!(observable(&tc, view)[0], before[0], "{case}: wrote");
+        tc.abort(t).unwrap();
+        assert_eq!(observable(&tc, view), before, "{case}: abort restores");
+        assert_eq!(tc.stats().snapshot().redo_only_rejects, 0, "{case}");
+    }
+}
+
+#[test]
+fn abort_restores_the_pre_transaction_state_on_the_btree_dc() {
+    abort_contract(btree_dc, None);
+}
+
+#[test]
+fn abort_restores_the_pre_transaction_state_and_index_on_a_simple_dc() {
+    abort_contract(text_dc, Some(TERMS));
+}
+
+#[test]
+fn custom_dcs_honour_every_stamp_and_revert() {
+    // The photo-sharing shape: one TC over a B-tree DC and two custom
+    // DCs, committing and aborting across all three.
+    let d = single(
+        TcConfig::default(),
+        DcConfig::default(),
+        TransportKind::Inline,
+        &[TableSpec::plain(T, "photos")],
+    );
+    let tc = d.tc(TcId(1));
+    let sink = ReplySink::new(tc.clone());
+    let grid = TableId(20);
+    let custom: [(DcId, TableId, Arc<dyn SecondaryIndexer>); 2] = [
+        (DcId(2), DOCS, Arc::new(TextIndexer)),
+        (DcId(3), grid, Arc::new(GridIndexer { cell: 100 })),
+    ];
+    for (id, table, indexer) in custom {
+        let dc = SimpleDc::new(id, table, TableId(table.0 + 1), indexer, SimDisk::new());
+        tc.register_dc(id, InlineLink::new(DcSlot::new(dc), sink.clone()));
+        tc.register_table(table, TableRoute::Single(id));
+    }
+    let shape = |x: u32| [x.to_le_bytes(), 80u32.to_le_bytes()].concat();
+    let t = tc.begin().unwrap();
+    tc.insert(t, T, Key::from_u64(1), b"gg.jpg".to_vec())
+        .unwrap();
+    tc.insert(t, DOCS, Key::from_u64(1), b"golden gate".to_vec())
+        .unwrap();
+    tc.insert(t, grid, Key::from_u64(1), shape(120)).unwrap();
+    tc.commit(t).unwrap();
+    let t = tc.begin().unwrap();
+    tc.insert(t, T, Key::from_u64(2), b"blurry.jpg".to_vec())
+        .unwrap();
+    tc.update(t, DOCS, Key::from_u64(1), b"blurry".to_vec())
+        .unwrap();
+    tc.insert(t, DOCS, Key::from_u64(2), b"golden".to_vec())
+        .unwrap();
+    tc.update(t, grid, Key::from_u64(1), shape(900)).unwrap();
+    tc.abort(t).unwrap();
+    let stats = tc.stats().snapshot();
+    assert_eq!(stats.stamps_sent, 3);
+    assert_eq!(stats.undo_ops, 4);
+    assert_eq!(
+        stats.redo_only_rejects, 0,
+        "every stamp and revert honoured"
+    );
+    assert_eq!(
+        read_once(&tc, DOCS, Key::from_u64(1), ReadConsistency::Committed),
+        Some(b"golden gate".to_vec())
+    );
+    assert_eq!(
+        read_once(&tc, grid, Key::from_u64(1), ReadConsistency::Dirty),
+        Some(shape(120))
+    );
 }

@@ -136,7 +136,7 @@ fn replicas_converge_to_committed_state_over_inline_links() {
 #[test]
 fn an_aborted_insert_ships_neither_itself_nor_its_compensation() {
     // A rollback's compensations travel with the operations they undo:
-    // the abort discards both, so a replica never replays the inverse
+    // the abort discards both, so a replica never replays the revert
     // of an insert it never saw.
     let d = replicated(1, |_| TransportKind::Inline);
     let t = d.tc(TcId(1));

@@ -286,8 +286,9 @@ fn parked_versioned_branch_is_committed_and_stamped_by_the_late_decision() {
     d.reboot_tc(TcId(2));
     let tc2 = d.tc(TcId(2));
     assert_eq!(tc2.indoubt_branches(), 1, "branch must park in-doubt");
-    // Its undo chain (one `RevertVersion`) names the key: the X lock is
-    // back, and committed readers still see the version beneath.
+    // Its write set (one key, re-derived from its `Op` record) names
+    // the key: the X lock is back, and committed readers still see the
+    // version beneath.
     let blocked = tc2.begin().expect("begin conflicting txn");
     assert!(
         tc2.versioned_write(blocked, V, high_key(), b"steal".to_vec())

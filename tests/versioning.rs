@@ -284,37 +284,47 @@ fn acknowledged_commits_survive_a_crash_amid_concurrent_forces() {
     }
 }
 
+/// Reproduce a crash that left the given operations of one unresolved
+/// transaction stable in the writer's log, and nothing else of it: append
+/// the `Op` records `Tc::mutate` writes for them, force, crash the TC and
+/// reboot it. Returns the recovered TC.
+fn recover_with_a_stable_loser(d: &Deployment, ops: Vec<LogicalOp>) -> Arc<Tc> {
+    let log = d.tc_log(WRITER);
+    let txn = TxnId(1_000);
+    for op in ops {
+        let rec = TcLogRecord::Op { txn, dc: DC, op };
+        let size = rec.encoded_size();
+        log.append(rec, size);
+    }
+    log.force();
+    d.crash_tc(WRITER);
+    d.reboot_tc(WRITER);
+    d.tc(WRITER)
+}
+
+/// Commit `value` at key 1 of the plain table through the writer.
+fn commit_plain(d: &Deployment, value: &[u8]) {
+    let tc = d.tc(WRITER);
+    let t = tc.begin().unwrap();
+    tc.insert(t, P, Key::from_u64(1), value.to_vec()).unwrap();
+    tc.commit(t).unwrap();
+}
+
 #[test]
 fn a_stable_op_with_no_resolution_record_is_undone_as_a_loser() {
     // A transaction enters the log with its first operation — there is
     // no begin record — so recovery must learn of a loser from its
-    // operations alone. Reproduce a crash that left one stable insert
-    // of an unresolved transaction, and nothing else of it, in the log.
+    // operations alone.
     let d = shared();
-    let tc = d.tc(WRITER);
-    let t = tc.begin().unwrap();
-    tc.insert(t, P, Key::from_u64(1), b"winner".to_vec())
-        .unwrap();
-    tc.commit(t).unwrap();
-    let log = d.tc_log(WRITER);
-    let txn = TxnId(1_000);
-    let op = LogicalOp::Insert {
-        table: P,
-        key: Key::from_u64(2),
-        value: b"loser".to_vec(),
-    };
-    let rec = TcLogRecord::Op {
-        txn,
-        dc: DC,
-        undo: op.inverse(None),
-        op,
-    };
-    let size = rec.encoded_size();
-    log.append(rec, size);
-    log.force();
-    d.crash_tc(WRITER);
-    d.reboot_tc(WRITER);
-    let tc = d.tc(WRITER);
+    commit_plain(&d, b"winner");
+    let tc = recover_with_a_stable_loser(
+        &d,
+        vec![LogicalOp::Insert {
+            table: P,
+            key: Key::from_u64(2),
+            value: b"loser".to_vec(),
+        }],
+    );
     assert_eq!(
         read_once(&tc, P, Key::from_u64(2), ReadConsistency::Locking),
         None,
@@ -324,6 +334,60 @@ fn a_stable_op_with_no_resolution_record_is_undone_as_a_loser() {
         read_once(&tc, P, Key::from_u64(1), ReadConsistency::Locking),
         Some(b"winner".to_vec())
     );
+}
+
+#[test]
+fn a_losers_failed_duplicate_insert_leaves_the_committed_row() {
+    // `mutate` logs an insert before it learns the insert fails. A loser
+    // whose only stable op is a duplicate insert of a committed key
+    // made no version there, so undo must leave the committed row.
+    let d = shared();
+    commit_plain(&d, b"winner");
+    let tc = recover_with_a_stable_loser(
+        &d,
+        vec![LogicalOp::Insert {
+            table: P,
+            key: Key::from_u64(1),
+            value: b"duplicate".to_vec(),
+        }],
+    );
+    for how in [ReadConsistency::Locking, ReadConsistency::Committed] {
+        assert_eq!(
+            read_once(&tc, P, Key::from_u64(1), how),
+            Some(b"winner".to_vec()),
+            "{how:?} read after recovery"
+        );
+    }
+}
+
+#[test]
+fn a_losers_update_then_failed_duplicate_insert_reads_back_the_committed_row() {
+    // The loser's last op on the key failed; its update beneath still
+    // made a version, which the revert naming the failed op undoes.
+    let d = shared();
+    commit_plain(&d, b"winner");
+    let tc = recover_with_a_stable_loser(
+        &d,
+        vec![
+            LogicalOp::Update {
+                table: P,
+                key: Key::from_u64(1),
+                value: b"dirty".to_vec(),
+            },
+            LogicalOp::Insert {
+                table: P,
+                key: Key::from_u64(1),
+                value: b"duplicate".to_vec(),
+            },
+        ],
+    );
+    for how in [ReadConsistency::Locking, ReadConsistency::Committed] {
+        assert_eq!(
+            read_once(&tc, P, Key::from_u64(1), how),
+            Some(b"winner".to_vec()),
+            "{how:?} read after recovery"
+        );
+    }
 }
 
 #[test]
