@@ -15,8 +15,9 @@ use crate::lsn::Lsn;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapshotSpec {
     /// Pin the transaction's snapshot at its first snapshot read (the
-    /// TC's stable LSN at that moment) and reuse it for every later
-    /// snapshot read — repeatable reads within the transaction.
+    /// TC's visible LSN at that moment: stable, with every commit at or
+    /// below it fully stamped) and reuse it for every later snapshot
+    /// read — repeatable reads within the transaction.
     Pinned,
     /// Read at an explicit LSN (e.g. a position captured earlier via
     /// [`stable position`](crate::lsn::Lsn) bookkeeping). Positions
@@ -24,8 +25,8 @@ pub enum SnapshotSpec {
     /// best-effort: garbage collection may have pruned the exact
     /// version.
     At(Lsn),
-    /// Read at the TC's stable LSN *now*: sees every commit whose
-    /// stamp is durable, without pinning.
+    /// Read at the TC's visible LSN *now*: sees every commit
+    /// acknowledged before the read, whole, without pinning.
     Fresh,
 }
 
@@ -50,12 +51,12 @@ pub enum ReadConsistency {
     /// writers and never blocks them.
     Snapshot(SnapshotSpec),
     /// Any replica whose replication lag is within `n` LSNs of the
-    /// primary's stable position; falls back to a primary snapshot
-    /// read at the stable LSN when no replica qualifies.
+    /// primary's stable position; falls back to a fresh primary
+    /// snapshot read when no replica qualifies.
     BoundedLag(u64),
     /// Any replica that has applied at least `lsn` (read-your-writes:
     /// pass the stable position observed after your commit); falls
-    /// back to a primary snapshot read at the stable LSN.
+    /// back to a fresh primary snapshot read.
     AtLeast(Lsn),
     /// Read committed (Section 6.2.2): the newest version carrying a
     /// commit stamp from any TC sharing the DC. Served straight by the

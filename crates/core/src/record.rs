@@ -220,6 +220,14 @@ impl StoredRecord {
         };
         self.versions.drain(..newest_covered);
         self.staged.retain(|(o, _)| *o > floor);
+        // Most records carry no history most of the time: give an
+        // emptied chain's buffer back rather than keep it per record.
+        if self.versions.is_empty() {
+            self.versions.shrink_to_fit();
+        }
+        if self.staged.is_empty() {
+            self.staged.shrink_to_fit();
+        }
         before - (self.versions.len() + self.staged.len())
     }
 

@@ -24,6 +24,7 @@
 
 use crate::catalog::{write_initial_root, Catalog, TableState, FIRST_DATA_PAGE};
 use crate::dclog::{DcLog, DcLogRecord};
+use crate::dirty::DirtyPages;
 use crate::page::{Page, PageData};
 use crate::pool::{BufferPool, SyncPolicy};
 use crate::stats::DcStats;
@@ -65,9 +66,6 @@ pub struct DcConfig {
     pub pool_capacity: usize,
     /// Page-sync policy (Section 5.1.2).
     pub sync_policy: SyncPolicy,
-    /// Upper bound on waiting for flush eligibility (policies 1/3 and
-    /// checkpoint flushing).
-    pub flush_wait: Duration,
     /// Page-reset mode after a TC crash.
     pub reset_mode: ResetMode,
 }
@@ -79,7 +77,6 @@ impl Default for DcConfig {
             merge_threshold: 1024,
             pool_capacity: 0,
             sync_policy: SyncPolicy::FullAbLsn,
-            flush_wait: Duration::from_millis(200),
             reset_mode: ResetMode::Selective,
         }
     }
@@ -114,6 +111,9 @@ pub struct DcEngine {
     lwm: RwLock<Vec<(TcId, Lsn)>>,
     /// SMOs deferred until EOSL coverage.
     pending_smo: Mutex<HashSet<(TableId, PageId)>>,
+    /// Per-TC dirty page tables (page → recLSN): what a checkpoint
+    /// must flush.
+    dirty: DirtyPages,
     stats: DcStats,
 }
 
@@ -165,6 +165,7 @@ impl DcEngine {
             eosl: RwLock::new(Vec::new()),
             lwm: RwLock::new(Vec::new()),
             pending_smo: Mutex::new(HashSet::new()),
+            dirty: DirtyPages::default(),
             stats: DcStats::default(),
         };
         Arc::new(engine)
@@ -188,6 +189,10 @@ impl DcEngine {
     /// The buffer pool (test/experiment introspection).
     pub fn pool(&self) -> &BufferPool {
         &self.pool
+    }
+
+    pub(crate) fn dirty_pages_table(&self) -> &DirtyPages {
+        &self.dirty
     }
 
     pub(crate) fn catalog(&self) -> Arc<Catalog> {
@@ -223,7 +228,9 @@ impl DcEngine {
         self.retry_pending_smos();
     }
 
-    /// `low_water_mark` handler.
+    /// `low_water_mark` handler: record the mark. Nothing else runs
+    /// here — version chains are trimmed against it under the leaf
+    /// latch that apply and flush already hold ([`DcEngine::trim_page`]).
     ///
     /// The mark is clamped to the TC's end-of-stable-log: an operation
     /// can be applied and acknowledged while its log record is still
@@ -232,57 +239,59 @@ impl DcEngine {
     pub fn handle_lwm(&self, tc: TcId, lwm: Lsn) {
         let clamped = lwm.min(self.eosl(tc));
         vec_set(&mut self.lwm.write(), tc, clamped);
-        if clamped > Lsn::NULL {
-            self.gc_versions(tc, clamped);
-        }
     }
 
-    /// Garbage-collect MVCC version chains of `tc`-owned records against
-    /// `floor` (the TC's log-truncation low-water mark): no retained
-    /// snapshot position at or above the floor can need the pruned
-    /// history, and positions below it are served best-effort by
-    /// contract. Fully stamped tombstones with no remaining history are
-    /// physically removed.
-    fn gc_versions(&self, tc: TcId, floor: Lsn) {
-        let mut merge_candidates: Vec<(TableId, PageId)> = Vec::new();
-        for pid in self.pool.cached_ids() {
-            let Some(arc) = self.pool.get_cached(pid) else {
-                continue;
-            };
-            let mut page = arc.write();
-            if page.evicted || !page.is_leaf() {
-                continue;
-            }
-            let mut pruned = 0usize;
-            let mut reclaim: Vec<Key> = Vec::new();
-            if let PageData::Leaf(entries) = &mut page.data {
-                for (k, rec) in entries.iter_mut() {
-                    if rec.owner != tc {
-                        continue;
-                    }
-                    pruned += rec.gc(floor);
-                    if rec.tomb_reclaimable(floor) {
-                        reclaim.push(k.clone());
+    /// Garbage-collect one latched leaf — every record, or only `only`:
+    /// prune each record's version chain against its owning TC's
+    /// low-water mark (no retained snapshot position at or above the
+    /// mark can need the pruned history, and positions below it are
+    /// served best-effort by contract), and physically remove fully
+    /// stamped tombstones with no history left. Returns the entries
+    /// pruned plus the tombstones removed.
+    fn trim_page(&self, page: &mut Page, only: Option<&Key>) -> usize {
+        let lwms: Vec<(TcId, Lsn)> = {
+            let g = self.lwm.read();
+            page.ab
+                .iter()
+                .map(|(tc, _)| (tc, vec_get(&g, tc)))
+                .filter(|(_, l)| *l > Lsn::NULL)
+                .collect()
+        };
+        if lwms.is_empty() {
+            return 0;
+        }
+        let floor_of = |rec: &StoredRecord| {
+            lwms.iter()
+                .find(|(tc, _)| *tc == rec.owner)
+                .map(|&(_, l)| l)
+        };
+        let mut pruned = 0usize;
+        let mut reclaimed = 0usize;
+        let entries = page.leaf_entries_mut();
+        match only {
+            Some(key) => {
+                if let Ok(i) = entries.binary_search_by(|(k, _)| k.cmp(key)) {
+                    if let Some(floor) = floor_of(&entries[i].1) {
+                        pruned += entries[i].1.gc(floor);
+                        if entries[i].1.tomb_reclaimable(floor) {
+                            entries.remove(i);
+                            reclaimed += 1;
+                        }
                     }
                 }
             }
-            for k in &reclaim {
-                let removed = page.remove(k);
-                debug_assert!(removed);
-            }
-            if pruned > 0 || !reclaim.is_empty() {
-                DcStats::add(&self.stats.versions_pruned, (pruned + reclaim.len()) as u64);
-                page.dirty = true;
-                if page.content_bytes() < self.cfg.merge_threshold {
-                    merge_candidates.push((page.table, pid));
-                }
-            }
+            None => entries.retain_mut(|(_, rec)| {
+                let Some(floor) = floor_of(rec) else {
+                    return true;
+                };
+                pruned += rec.gc(floor);
+                let reclaim = rec.tomb_reclaimable(floor);
+                reclaimed += usize::from(reclaim);
+                !reclaim
+            }),
         }
-        for (tid, pid) in merge_candidates {
-            if let Ok(table) = self.table(tid) {
-                self.try_consolidate(&table, pid);
-            }
-        }
+        DcStats::add(&self.stats.versions_pruned, (pruned + reclaimed) as u64);
+        pruned + reclaimed
     }
 
     /// Total retained MVCC version-chain entries (history + staged)
@@ -357,7 +366,10 @@ impl DcEngine {
             self.apply_mutation(tc, lsn, op)
         } else {
             DcStats::bump(&self.stats.reads);
-            self.do_read(op)
+            let result = self.do_read(op);
+            // A read's misses grow the pool too.
+            self.maybe_evict();
+            result
         };
         let took = t0.elapsed();
         self.stats.apply_ns.record(took);
@@ -404,20 +416,25 @@ impl DcEngine {
                 let stamped = Self::mutate_leaf(&mut leaf, tc, lsn, op)?;
                 leaf.ab.get_mut(tc).record(lsn);
                 leaf.dirty = true;
+                self.dirty.applied(&mut leaf, tc, lsn);
                 DcStats::bump(&self.stats.ops_applied);
                 if stamped {
                     DcStats::bump(&self.stats.versions_stamped);
                 }
-                if let Some(rec) = leaf.find_mut(&key) {
+                if let Some(rec) = leaf.find(&key) {
                     let created = rec.chain_len().saturating_sub(prior_chain);
                     DcStats::add(&self.stats.versions_created, created as u64);
-                    // Inline GC: keep hot records' chains bounded between
-                    // low-water-mark sweeps.
-                    let floor = lwm;
-                    if floor > Lsn::NULL {
-                        let pruned = rec.gc(floor);
-                        DcStats::add(&self.stats.versions_pruned, pruned as u64);
-                    }
+                }
+                // Trim under the latch this apply holds. Once the TC's
+                // low-water mark has moved since the page was last
+                // trimmed, every record on it may hold prunable history
+                // or be a reclaimable tombstone; otherwise only the
+                // record just written can have gained any.
+                if lwm > leaf.trimmed_at {
+                    self.trim_page(&mut leaf, None);
+                    leaf.trimmed_at = lwm;
+                } else if lwm > Lsn::NULL {
+                    self.trim_page(&mut leaf, Some(&key));
                 }
 
                 let bytes = leaf.content_bytes();
@@ -746,9 +763,11 @@ impl DcEngine {
                 );
                 np.data = PageData::Leaf(upper);
                 // Section 5.2.2: the new page's image captures the page's
-                // abLSN at the time of the split.
+                // abLSN at the time of the split; the moved records'
+                // unflushed effects carry the page's recLSN with them.
                 np.ab = page.ab.clone();
                 np.next_leaf = page.next_leaf;
+                self.dirty.carry(&page, &mut np);
                 (split_key, np)
             }
             PageData::Branch(entries) => {
@@ -1013,6 +1032,7 @@ impl DcEngine {
         let right_entries = std::mem::take(right.leaf_entries_mut());
         left.leaf_entries_mut().extend(right_entries);
         left.ab = left.ab.merge(&right.ab);
+        self.dirty.carry(&right, &mut left);
         left.high_fence = right.high_fence.clone();
         left.next_leaf = right.next_leaf;
         let d_img = self.log.append(DcLogRecord::PageImage {
@@ -1042,6 +1062,7 @@ impl DcEngine {
         // before the disk page disappears.
         self.log.force();
         right.evicted = true;
+        self.dirty.cleaned(&mut right);
         drop(right);
         drop(left);
         self.pool.remove(right_pid);
@@ -1088,11 +1109,16 @@ impl DcEngine {
     // Flushing, eviction, checkpointing
     // ------------------------------------------------------------------
 
-    /// Attempt to flush one page (non-blocking eligibility check).
+    /// Attempt to flush one page (non-blocking eligibility check). The
+    /// page's version chains are trimmed first, under the latch the
+    /// flush holds, so the image written carries no prunable history.
     pub fn flush_page(&self, pid: PageId) -> FlushResult {
         let arc = match self.pool.get_cached(pid) {
             Some(a) => a,
-            None => return FlushResult::Missing,
+            None => {
+                self.dirty.forget(pid);
+                return FlushResult::Missing;
+            }
         };
         let mut page = arc.write();
         if page.evicted {
@@ -1100,6 +1126,7 @@ impl DcEngine {
         }
         if !page.dirty {
             page.sync_freeze = false;
+            self.dirty.cleaned(&mut page);
             return FlushResult::Clean;
         }
         // Causality: every reflected operation must be stable in its TC's
@@ -1128,6 +1155,7 @@ impl DcEngine {
             }
             return FlushResult::NotEligible;
         }
+        let trimmed = page.is_leaf() && self.trim_page(&mut page, None) > 0;
         // WAL for the DC's own log: system-transaction records reflected
         // in the page must be stable first.
         if page.dlsn > self.log.stable() {
@@ -1141,7 +1169,13 @@ impl DcEngine {
         self.pool.disk().write_page(pid, image);
         page.dirty = false;
         page.sync_freeze = false;
+        self.dirty.cleaned(&mut page);
         DcStats::bump(&self.stats.flushes);
+        // A page the trim shrank may now want consolidation; that needs
+        // the tree latch, so queue it for the next EOSL retry.
+        if trimmed && page.content_bytes() < self.cfg.merge_threshold {
+            self.defer_smo(page.table, pid);
+        }
         FlushResult::Flushed
     }
 
@@ -1177,76 +1211,74 @@ impl DcEngine {
         n
     }
 
+    /// Evict pages, in the pool's clock order, once the pool is more than
+    /// a sixteenth over its capacity, until it is back within it; a page
+    /// that cannot be flushed yet is passed over (the pool stays over
+    /// capacity if too few can be). The slack batches evictions, so most
+    /// operations that fault a page in do not also pay for evicting one.
     fn maybe_evict(&self) {
-        if self.cfg.pool_capacity == 0 {
+        let cap = self.cfg.pool_capacity;
+        if cap == 0 {
             return;
         }
-        while self.pool.len() > self.cfg.pool_capacity {
-            let mut evicted = false;
-            for pid in self.pool.lru_order() {
-                match self.flush_page(pid) {
-                    FlushResult::Flushed | FlushResult::Clean => {
-                        // Do not evict table roots' pages? Roots are
-                        // reloaded on demand like any page.
-                        self.pool.remove(pid);
-                        DcStats::bump(&self.stats.evictions);
-                        evicted = true;
-                        break;
-                    }
-                    _ => continue,
-                }
-            }
-            if !evicted {
-                break; // nothing eligible; stay over capacity
+        let cached = self.pool.len();
+        if cached <= cap + cap / 16 {
+            return;
+        }
+        let mut excess = cached - cap;
+        // Each cached page is a candidate at most twice per call.
+        let mut tries = 2 * cached;
+        while excess > 0 && tries > 0 {
+            tries -= 1;
+            let Some(pid) = self.pool.next_victim() else {
+                return;
+            };
+            if let FlushResult::Flushed | FlushResult::Clean = self.flush_page(pid) {
+                self.pool.remove(pid);
+                DcStats::bump(&self.stats.evictions);
+                excess -= 1;
             }
         }
     }
 
     /// `checkpoint` handler: make stable every page containing effects of
     /// this TC's operations with LSN below `new_rssp`; returns the
-    /// granted redo-scan-start-point (may be lower than requested if some
-    /// page could not be flushed within the wait bound).
+    /// granted redo-scan-start-point.
+    ///
+    /// Those pages are exactly `tc`'s dirty-page-table entries with a
+    /// recLSN below `new_rssp`, so the handler flushes those and never
+    /// scans the cache. It makes at most two passes and never waits: a
+    /// page still ineligible on the second pass (it also holds a live
+    /// writer's unforced operation) stays dirty, and the grant falls to
+    /// the lowest such recLSN — redo restarts at the oldest operation
+    /// still unflushed, and a later checkpoint picks the page up.
     pub fn handle_checkpoint(&self, tc: TcId, new_rssp: Lsn) -> Lsn {
-        let deadline = Instant::now() + self.cfg.flush_wait;
-        loop {
-            let mut pending: Vec<(PageId, Lsn)> = Vec::new();
-            for pid in self.pool.cached_ids() {
-                if let Some(arc) = self.pool.get_cached(pid) {
-                    let g = arc.read();
-                    if g.evicted || !g.dirty {
-                        continue;
-                    }
-                    if let Some(ab) = g.ab.get(tc) {
-                        let min_included = if ab.lw() > Lsn::NULL {
-                            Lsn(1)
-                        } else {
-                            ab.ins().first().copied().unwrap_or(Lsn::MAX)
-                        };
-                        if min_included < new_rssp {
-                            pending.push((pid, min_included));
-                        }
-                    }
-                }
-            }
+        let mut pending = self.dirty.pages_below(tc, new_rssp);
+        for _ in 0..2 {
             if pending.is_empty() {
-                return new_rssp;
+                break;
             }
-            let mut progress = false;
-            for (pid, _) in &pending {
-                if self.flush_page(*pid) == FlushResult::Flushed {
-                    progress = true;
-                }
-            }
-            if !progress {
-                if Instant::now() >= deadline {
-                    // Grant what we can: redo must restart at the oldest
-                    // unflushed operation of this TC.
-                    let floor = pending.iter().map(|(_, l)| *l).min().unwrap_or(new_rssp);
-                    return floor.min(new_rssp);
-                }
-                std::thread::sleep(Duration::from_micros(50));
+            DcStats::bump(&self.stats.checkpoint_passes);
+            pending.retain(|(pid, _)| self.flush_page(*pid) == FlushResult::NotEligible);
+        }
+        for (pid, _) in &pending {
+            // An unflushed page keeps accepting operations.
+            if let Some(arc) = self.pool.get_cached(*pid) {
+                arc.write().sync_freeze = false;
             }
         }
+        DcStats::add(&self.stats.checkpoint_unflushed, pending.len() as u64);
+        pending
+            .iter()
+            .map(|(_, rec)| *rec)
+            .min()
+            .map_or(new_rssp, |floor| floor.min(new_rssp))
+    }
+
+    /// Pages holding unflushed effects of `tc`'s operations (its dirty
+    /// page table's size).
+    pub fn dirty_pages(&self, tc: TcId) -> usize {
+        self.dirty.len(tc)
     }
 
     /// DC-initiated checkpoint: flush everything eligible; if the cache

@@ -26,6 +26,7 @@
 
 pub mod catalog;
 pub mod dclog;
+mod dirty;
 pub mod engine;
 pub mod page;
 pub mod pool;

@@ -16,7 +16,7 @@
 //! records can be selectively reset without disturbing other TCs.
 
 use unbundled_core::codec::{Decoder, Encoder};
-use unbundled_core::{CoreError, DLsn, Key, PageId, PerTcAbLsn, StoredRecord, TableId};
+use unbundled_core::{CoreError, DLsn, Key, Lsn, PageId, PerTcAbLsn, StoredRecord, TableId, TcId};
 
 /// Leaf or branch payload of a page.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -56,6 +56,14 @@ pub struct Page {
     /// Volatile: a page-sync (Section 5.1.2, algorithm 1/3) is in
     /// progress; new operations must back off until the flush completes.
     pub sync_freeze: bool,
+    /// Volatile: per TC, the lowest op LSN applied since the page was
+    /// last flushed (its recLSN in the dirty page table, see
+    /// `dirty.rs`). Empty while the page holds no unflushed operation.
+    pub rec_lsn: Vec<(TcId, Lsn)>,
+    /// Volatile: the applying TC's low-water mark when the page's
+    /// version chains were last trimmed as a whole (see the engine's
+    /// `trim_page`); an apply re-trims the page once the mark passes it.
+    pub trimmed_at: Lsn,
 }
 
 impl Page {
@@ -73,6 +81,8 @@ impl Page {
             dirty: true,
             evicted: false,
             sync_freeze: false,
+            rec_lsn: Vec::new(),
+            trimmed_at: Lsn::NULL,
         }
     }
 
@@ -96,6 +106,8 @@ impl Page {
             dirty: true,
             evicted: false,
             sync_freeze: false,
+            rec_lsn: Vec::new(),
+            trimmed_at: Lsn::NULL,
         }
     }
 
@@ -314,6 +326,8 @@ impl Page {
             dirty: false,
             evicted: false,
             sync_freeze: false,
+            rec_lsn: Vec::new(),
+            trimmed_at: Lsn::NULL,
         })
     }
 }
@@ -321,7 +335,6 @@ impl Page {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unbundled_core::TcId;
 
     fn leaf() -> Page {
         Page::new_leaf(PageId(2), TableId(1), Key::empty(), None)

@@ -7,10 +7,11 @@
 
 use crate::page::Page;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use unbundled_core::PageId;
+use unbundled_obs::stripe::ReadMostly;
 use unbundled_storage::SimDisk;
 
 /// How abstract LSNs are made stable with a page (Section 5.1.2, "Page
@@ -31,13 +32,26 @@ pub enum SyncPolicy {
 
 struct Frame {
     page: Arc<RwLock<Page>>,
-    last_used: AtomicU64,
+    /// CLOCK reference bit: set by a hit, cleared as the hand passes.
+    referenced: AtomicBool,
 }
 
-/// Page frames with LRU bookkeeping. Misses load from the disk.
+/// Page frames with CLOCK (second-chance) replacement, the usual
+/// approximation of LRU. Misses load from the disk.
+///
+/// The frame map is read-mostly: a hit read-locks only the calling
+/// thread's stripe's copy of it ([`ReadMostly`]), and only misses,
+/// installs and removals write it (every copy). A hit sets its frame's
+/// reference bit, and only when it is clear, so pages every thread
+/// visits (the root) stay read-only on the hit path. The clock ring
+/// holds frames in load order; [`BufferPool::next_victim`] turns the
+/// hand past referenced frames (clearing their bit) to the first one
+/// that was not used since the hand last passed it.
 pub struct BufferPool {
-    frames: Mutex<HashMap<PageId, Arc<Frame>>>,
-    clock: AtomicU64,
+    frames: ReadMostly<HashMap<PageId, Arc<Frame>>>,
+    /// The clock ring. May hold ids of frames already removed; the hand
+    /// drops them when it reaches them.
+    ring: Mutex<VecDeque<PageId>>,
     disk: SimDisk,
 }
 
@@ -45,8 +59,8 @@ impl BufferPool {
     /// A pool over `disk`.
     pub fn new(disk: SimDisk) -> Self {
         BufferPool {
-            frames: Mutex::new(HashMap::new()),
-            clock: AtomicU64::new(0),
+            frames: ReadMostly::new(HashMap::new()),
+            ring: Mutex::new(VecDeque::new()),
             disk,
         }
     }
@@ -56,38 +70,50 @@ impl BufferPool {
         &self.disk
     }
 
-    fn touch(&self, f: &Frame) {
-        f.last_used.store(
-            self.clock.fetch_add(1, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
+    fn touch(f: &Frame) {
+        if !f.referenced.load(Ordering::Relaxed) {
+            f.referenced.store(true, Ordering::Relaxed);
+        }
+    }
+
+    fn new_frame(page: Page) -> Arc<Frame> {
+        Arc::new(Frame {
+            page: Arc::new(RwLock::new(page)),
+            referenced: AtomicBool::new(false),
+        })
     }
 
     /// Fetch a page, loading (and caching) the disk version on a miss.
     /// `None` if the page exists neither in cache nor on disk.
     pub fn get(&self, id: PageId) -> Option<Arc<RwLock<Page>>> {
-        let mut frames = self.frames.lock();
-        if let Some(f) = frames.get(&id) {
-            self.touch(f);
-            return Some(f.page.clone());
+        if let Some(page) = self.get_cached(id) {
+            return Some(page);
         }
-        let image = self.disk.read_page(id)?;
-        let page = Page::decode(&image).ok()?;
-        let frame = Arc::new(Frame {
-            page: Arc::new(RwLock::new(page)),
-            last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
-        });
-        let arc = frame.page.clone();
-        frames.insert(id, frame);
+        let arc = {
+            // The miss loads under the write lock, so no eviction can
+            // slip between the disk read and the insert.
+            let mut frames = self.frames.write();
+            if let Some(f) = frames.get().get(&id) {
+                Self::touch(f);
+                return Some(f.page.clone());
+            }
+            let image = self.disk.read_page(id)?;
+            let page = Page::decode(&image).ok()?;
+            let frame = Self::new_frame(page);
+            let arc = frame.page.clone();
+            frames.update(|m| m.insert(id, frame.clone()));
+            arc
+        };
+        self.ring.lock().push_back(id);
         Some(arc)
     }
 
     /// Fetch only if cached (reset and checkpoint walk the cache without
     /// faulting pages in).
     pub fn get_cached(&self, id: PageId) -> Option<Arc<RwLock<Page>>> {
-        let frames = self.frames.lock();
+        let frames = self.frames.read();
         frames.get(&id).map(|f| {
-            self.touch(f);
+            Self::touch(f);
             f.page.clone()
         })
     }
@@ -96,14 +122,12 @@ impl BufferPool {
     /// any cached version.
     pub fn install(&self, page: Page) -> Arc<RwLock<Page>> {
         let id = page.id;
-        let frame = Arc::new(Frame {
-            page: Arc::new(RwLock::new(page)),
-            last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
-        });
+        let frame = Self::new_frame(page);
         let arc = frame.page.clone();
-        let old = self.frames.lock().insert(id, frame);
-        if let Some(o) = old {
-            o.page.write().evicted = true;
+        let old = self.frames.write().update(|m| m.insert(id, frame.clone()));
+        match old {
+            Some(o) => o.page.write().evicted = true,
+            None => self.ring.lock().push_back(id),
         }
         arc
     }
@@ -111,43 +135,73 @@ impl BufferPool {
     /// Drop a page from the cache (eviction after flush, or page free).
     /// The frame is marked `evicted` so latch-holders retry.
     pub fn remove(&self, id: PageId) {
-        if let Some(f) = self.frames.lock().remove(&id) {
+        let removed = self.frames.write().update(|m| m.remove(&id));
+        if let Some(f) = removed {
             f.page.write().evicted = true;
         }
     }
 
+    /// The next eviction candidate under the clock: the first cached
+    /// page past the hand whose reference bit is clear (bits passed on
+    /// the way are cleared). The candidate goes to the back of the ring;
+    /// if it is not evicted it simply waits for the hand again. `None`
+    /// when nothing is cached.
+    pub fn next_victim(&self) -> Option<PageId> {
+        let mut ring = self.ring.lock();
+        let frames = self.frames.read();
+        // Two turns clear every bit, so the hand finds a candidate.
+        for _ in 0..=2 * ring.len() {
+            let id = ring.pop_front()?;
+            let Some(f) = frames.get(&id) else {
+                continue; // removed since it was queued
+            };
+            ring.push_back(id);
+            if !f.referenced.swap(false, Ordering::Relaxed) {
+                return Some(id);
+            }
+        }
+        None
+    }
+
     /// Ids of all cached pages.
     pub fn cached_ids(&self) -> Vec<PageId> {
-        let mut v: Vec<PageId> = self.frames.lock().keys().copied().collect();
+        let mut v: Vec<PageId> = self.frames.read().keys().copied().collect();
         v.sort_unstable();
         v
     }
 
     /// Number of cached pages.
     pub fn len(&self) -> usize {
-        self.frames.lock().len()
+        self.frames.read().len()
     }
 
     /// True if no pages are cached.
     pub fn is_empty(&self) -> bool {
-        self.frames.lock().is_empty()
+        self.frames.read().is_empty()
     }
 
-    /// Cached page ids in least-recently-used order (eviction candidates).
+    /// Cached page ids in the order the clock would evict them: pages
+    /// not referenced since the hand last passed, in ring order, then
+    /// referenced ones (introspection; reads no bit).
     pub fn lru_order(&self) -> Vec<PageId> {
-        let frames = self.frames.lock();
-        let mut v: Vec<(u64, PageId)> = frames
+        let ring = self.ring.lock();
+        let frames = self.frames.read();
+        let (mut cold, hot): (Vec<PageId>, Vec<PageId>) = ring
             .iter()
-            .map(|(id, f)| (f.last_used.load(Ordering::Relaxed), *id))
-            .collect();
-        v.sort_unstable();
-        v.into_iter().map(|(_, id)| id).collect()
+            .filter(|id| frames.contains_key(id))
+            .partition(|id| !frames[*id].referenced.load(Ordering::Relaxed));
+        cold.extend(hot);
+        cold
     }
 
     /// Drop every frame (complete DC crash: volatile state dies).
     pub fn clear(&self) {
-        let mut frames = self.frames.lock();
-        for (_, f) in frames.drain() {
+        let drained: Vec<Arc<Frame>> = self
+            .frames
+            .write()
+            .update(|m| m.drain().map(|(_, f)| f).collect());
+        self.ring.lock().clear();
+        for f in drained {
             f.page.write().evicted = true;
         }
     }
@@ -212,6 +266,26 @@ mod tests {
         pool.get(PageId(2));
         let order = pool.lru_order();
         assert_eq!(*order.last().unwrap(), PageId(2));
+    }
+
+    #[test]
+    fn the_clock_passes_over_recently_used_pages() {
+        let pool = BufferPool::new(SimDisk::new());
+        for id in 2..6 {
+            pool.install(mk_page(id));
+        }
+        pool.get(PageId(2));
+        pool.get(PageId(3));
+        assert_eq!(pool.next_victim(), Some(PageId(4)), "2 and 3 were used");
+        assert_eq!(pool.next_victim(), Some(PageId(5)));
+        // The hand cleared 2's and 3's bits on its way: they are next.
+        assert_eq!(pool.next_victim(), Some(PageId(2)));
+        pool.remove(PageId(3));
+        assert_eq!(
+            pool.next_victim(),
+            Some(PageId(4)),
+            "a removed page is skipped"
+        );
     }
 
     #[test]

@@ -79,6 +79,7 @@ impl DcEngine {
                     if let Ok(mut p) = Page::decode(image) {
                         p.dlsn = dlsn;
                         p.dirty = true;
+                        self.dirty_pages_table().redirtied(&mut p);
                         self.pool().install(p);
                     }
                 }
@@ -102,6 +103,7 @@ impl DcEngine {
                         }
                         g.dlsn = dlsn;
                         g.dirty = true;
+                        self.dirty_pages_table().redirtied(&mut g);
                     }
                 }
             }
@@ -234,7 +236,9 @@ impl DcEngine {
             match self.cfg.reset_mode {
                 ResetMode::FullDrop => {
                     let n = page.entry_count() as u64;
+                    let rec_lsn = std::mem::take(&mut page.rec_lsn);
                     *page = basis;
+                    page.rec_lsn = rec_lsn;
                     // The replacement reflects disk+log; it is dirty only
                     // relative to log-applied state.
                     page.dirty = true;
@@ -244,6 +248,7 @@ impl DcEngine {
                     records += Self::selective_reset(&mut page, &basis, tc);
                 }
             }
+            self.dirty_pages_table().redirtied(&mut page);
             pages += 1;
         }
         DcStats::add(&self.stats().pages_reset, pages);
@@ -356,6 +361,7 @@ impl DcEngine {
     /// builds a fresh engine with [`DcEngine::recover`].
     pub fn crash_volatile(&self) {
         self.pool().clear();
+        self.dirty_pages_table().clear();
         self.dclog().store().crash();
     }
 

@@ -11,7 +11,6 @@
 //! versions_created`) are best-effort when read mid-traffic. Quiesce
 //! the engine before asserting exact cross-field relations.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use unbundled_obs::{Counter, Histogram, Registry};
 
@@ -60,12 +59,12 @@ macro_rules! dc_stats {
                 &self.registry
             }
 
-            pub(crate) fn bump(counter: &AtomicU64) {
-                counter.fetch_add(1, Ordering::Relaxed);
+            pub(crate) fn bump(counter: &Counter) {
+                counter.inc();
             }
 
-            pub(crate) fn add(counter: &AtomicU64, n: u64) {
-                counter.fetch_add(n, Ordering::Relaxed);
+            pub(crate) fn add(counter: &Counter, n: u64) {
+                counter.add(n);
             }
         }
     };
@@ -92,6 +91,12 @@ dc_stats! {
     flush_waits => "dc.flush_waits", "flushes that waited on the LWM";
     /// Operations that backed off from a sync-frozen page.
     freeze_backoffs => "dc.freeze_backoffs", "sync-freeze backoffs";
+    /// Passes TC checkpoints made over their dirty pages (at most two
+    /// per checkpoint).
+    checkpoint_passes => "dc.checkpoint_passes", "checkpoint flush passes";
+    /// Dirty pages a TC checkpoint left unflushed (not yet eligible):
+    /// its granted RSSP stays below their recLSN.
+    checkpoint_unflushed => "dc.checkpoint_unflushed", "pages a checkpoint left dirty";
     /// Pages evicted from the cache.
     evictions => "dc.evictions", "pages evicted";
     /// Pages reset after a TC crash.

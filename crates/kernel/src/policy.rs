@@ -355,7 +355,7 @@ impl PolicyInner {
             state.primed = true;
             return;
         }
-        self.ticks.fetch_add(1, Ordering::Relaxed);
+        self.ticks.inc();
 
         if self.consider_splits(&map, &rates, &depths) {
             return; // one move per tick
@@ -378,7 +378,7 @@ impl PolicyInner {
             if !pressured {
                 continue;
             }
-            self.considered.fetch_add(1, Ordering::Relaxed);
+            self.considered.inc();
             let _consider = obs::span2(
                 "policy.consider",
                 "tc",
@@ -396,12 +396,12 @@ impl PolicyInner {
                 .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(b.0)))
                 .map(|(id, r)| (*id, *r));
             let Some((to, to_rate)) = target else {
-                self.no_target.fetch_add(1, Ordering::Relaxed);
+                self.no_target.inc();
                 let _s = obs::span1("policy.no_target", "tc", u64::from(hot.0));
                 continue;
             };
             if to_rate > rate * 0.5 || to_rate >= self.cfg.split_rate {
-                self.no_target.fetch_add(1, Ordering::Relaxed);
+                self.no_target.inc();
                 let _s = obs::span2(
                     "policy.no_target",
                     "tc",
@@ -434,7 +434,7 @@ impl PolicyInner {
                 continue; // pressured but owns no range (mid-republish)
             };
             if samples < self.cfg.min_samples {
-                self.no_median.fetch_add(1, Ordering::Relaxed);
+                self.no_median.inc();
                 let _s = obs::span2(
                     "policy.aborted",
                     "tc",
@@ -445,7 +445,7 @@ impl PolicyInner {
                 continue;
             }
             if self.in_cooldown(lo, hi) {
-                self.cooldown_skips.fetch_add(1, Ordering::Relaxed);
+                self.cooldown_skips.inc();
                 let _s = obs::span1("policy.cooldown", "lo", lo);
                 continue;
             }
@@ -455,7 +455,7 @@ impl PolicyInner {
             let cut = match sketch.median_in(lo, hi) {
                 Some(m) if m > lo => m,
                 _ => {
-                    self.no_median.fetch_add(1, Ordering::Relaxed);
+                    self.no_median.inc();
                     let _s = obs::span1("policy.aborted", "tc", u64::from(hot.0));
                     continue;
                 }
@@ -465,7 +465,7 @@ impl PolicyInner {
                 Ok(()) => {
                     let epoch = self.d.shard_map().map(|m| m.epoch()).unwrap_or(0);
                     let _done = obs::span1("policy.completed", "epoch", epoch);
-                    self.splits.fetch_add(1, Ordering::Relaxed);
+                    self.splits.inc();
                     self.record(MoveKind::Split, cut, lo, hi, hot, to, epoch);
                     return true;
                 }
@@ -473,7 +473,7 @@ impl PolicyInner {
                     // The map changed between our read and the move
                     // (another mover won the gate): typed refusal, no
                     // fence burned, retry next tick on fresh telemetry.
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
+                    self.rejected.inc();
                     let _s = obs::span1("policy.aborted", "at", cut);
                     continue;
                 }
@@ -502,7 +502,7 @@ impl PolicyInner {
             if !cold(left) || !cold(right) {
                 continue;
             }
-            self.considered.fetch_add(1, Ordering::Relaxed);
+            self.considered.inc();
             let _consider = obs::span2("policy.consider", "tc", u64::from(right.0), "bound", bound);
             let right_hi = if right_upper == u64::MAX {
                 u64::MAX
@@ -512,7 +512,7 @@ impl PolicyInner {
             // Cooldown covers the whole post-merge extent: both the
             // absorbed range and the absorbing neighbor below it.
             if self.in_cooldown(left_lo, right_hi) {
-                self.cooldown_skips.fetch_add(1, Ordering::Relaxed);
+                self.cooldown_skips.inc();
                 let _s = obs::span1("policy.cooldown", "lo", bound);
                 continue;
             }
@@ -520,7 +520,7 @@ impl PolicyInner {
             self.d.merge_shards(bound);
             let epoch = self.d.shard_map().map(|m| m.epoch()).unwrap_or(0);
             let _done = obs::span1("policy.completed", "epoch", epoch);
-            self.merges.fetch_add(1, Ordering::Relaxed);
+            self.merges.inc();
             self.record(MoveKind::Merge, bound, bound, right_hi, right, left, epoch);
             return true;
         }

@@ -24,6 +24,7 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use unbundled_core::{DataComponentApi, DcError, DcId, DcToTc, OpResult, RequestId, TcId, TcToDc};
+use unbundled_obs::stripe::ReadMostly;
 use unbundled_tc::{DcLink, Tc};
 
 /// Reply sink: delivers DC→TC messages to the owning TC.
@@ -31,24 +32,25 @@ use unbundled_tc::{DcLink, Tc};
 /// weakly: the TC owns its links, which own the sink, so a strong
 /// reference would keep a dropped deployment alive.
 pub struct ReplySink {
-    tc: Mutex<Weak<Tc>>,
+    tc: ReadMostly<Weak<Tc>>,
 }
 
 impl ReplySink {
     /// Sink delivering to `tc`.
     pub fn new(tc: Arc<Tc>) -> Arc<Self> {
         Arc::new(ReplySink {
-            tc: Mutex::new(Arc::downgrade(&tc)),
+            tc: ReadMostly::new(Arc::downgrade(&tc)),
         })
     }
 
     /// Re-point the sink (after a TC reboot).
     pub fn rebind(&self, tc: Arc<Tc>) {
-        *self.tc.lock() = Arc::downgrade(&tc);
+        let tc = Arc::downgrade(&tc);
+        self.tc.write().update(|w| *w = tc.clone());
     }
 
     fn deliver(&self, msg: unbundled_core::DcToTc) {
-        let tc = self.tc.lock().upgrade();
+        let tc = self.tc.read().upgrade();
         // A TC that is gone drops the message: the resend contract
         // already covers a lost reply.
         if let Some(tc) = tc {
@@ -58,32 +60,40 @@ impl ReplySink {
 }
 
 /// A swap-able DC endpoint: crash injection replaces the inner server
-/// while links keep pointing at the same slot.
+/// while links keep pointing at the same slot. Read on every hop, so it
+/// is a [`ReadMostly`]: a hop read-locks only its own thread's stripe.
 pub struct DcSlot {
-    inner: Mutex<Option<Arc<dyn DataComponentApi>>>,
+    inner: ReadMostly<Option<Arc<dyn DataComponentApi>>>,
 }
 
 impl DcSlot {
     /// Slot over an initial DC.
     pub fn new(dc: Arc<dyn DataComponentApi>) -> Arc<Self> {
         Arc::new(DcSlot {
-            inner: Mutex::new(Some(dc)),
+            inner: ReadMostly::new(Some(dc)),
         })
     }
 
     /// Take the DC down (messages are dropped while down).
     pub fn take_down(&self) -> Option<Arc<dyn DataComponentApi>> {
-        self.inner.lock().take()
+        self.inner.write().update(|dc| dc.take())
     }
 
     /// Install a (rebooted) DC.
     pub fn install(&self, dc: Arc<dyn DataComponentApi>) {
-        *self.inner.lock() = Some(dc);
+        self.inner.write().update(|slot| *slot = Some(dc.clone()));
     }
 
     /// Current DC, if up.
     pub fn get(&self) -> Option<Arc<dyn DataComponentApi>> {
-        self.inner.lock().clone()
+        self.inner.read().clone()
+    }
+
+    /// Hand `msg` to the DC, if up, on the calling thread.
+    fn handle(&self, msg: TcToDc, out: &mut Vec<DcToTc>) {
+        if let Some(dc) = self.inner.read().as_ref() {
+            dc.handle(msg, out);
+        }
     }
 }
 
@@ -102,14 +112,17 @@ impl InlineLink {
 
 impl DcLink for InlineLink {
     fn send(&self, msg: TcToDc) {
-        if let Some(dc) = self.slot.get() {
-            let mut out = Vec::new();
-            dc.handle(msg, &mut out);
-            for m in out {
-                self.sink.deliver(m);
-            }
+        let mut out = Vec::new();
+        self.slot.handle(msg, &mut out);
+        for m in out {
+            self.sink.deliver(m);
         }
         // DC down: message silently lost — the resend contract covers it.
+    }
+
+    fn call(&self, msg: TcToDc, replies: &mut Vec<DcToTc>) -> Result<(), TcToDc> {
+        self.slot.handle(msg, replies);
+        Ok(())
     }
 }
 

@@ -27,11 +27,11 @@
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use unbundled_core::{Key, TableId};
 use unbundled_obs as obs;
+use unbundled_obs::stripe::StripedU64;
 
 /// A lock owner: one transaction (possibly from any TC — tokens are
 /// namespaced by the caller).
@@ -144,23 +144,23 @@ impl std::error::Error for LockError {}
 #[derive(Default, Debug)]
 pub struct LockStats {
     /// Lock requests granted (including re-grants and upgrades).
-    pub acquired: AtomicU64,
+    pub acquired: StripedU64,
     /// Requests that had to wait at least once.
-    pub waits: AtomicU64,
+    pub waits: StripedU64,
     /// Requests aborted as deadlock victims.
-    pub deadlocks: AtomicU64,
+    pub deadlocks: StripedU64,
     /// Requests that timed out.
-    pub timeouts: AtomicU64,
+    pub timeouts: StripedU64,
 }
 
 impl LockStats {
     /// Snapshot (acquired, waits, deadlocks, timeouts).
     pub fn snapshot(&self) -> (u64, u64, u64, u64) {
         (
-            self.acquired.load(Ordering::Relaxed),
-            self.waits.load(Ordering::Relaxed),
-            self.deadlocks.load(Ordering::Relaxed),
-            self.timeouts.load(Ordering::Relaxed),
+            self.acquired.get(),
+            self.waits.get(),
+            self.deadlocks.get(),
+            self.timeouts.get(),
         )
     }
 }
@@ -352,7 +352,7 @@ impl LockManager {
             if let Some(g) = entry.granted.iter_mut().find(|g| g.owner == owner) {
                 if g.mode.covers(mode) {
                     g.count += 1;
-                    self.stats.acquired.fetch_add(1, Ordering::Relaxed);
+                    self.stats.acquired.add(1);
                     self.note_held(owner, &name);
                     return Ok(0);
                 }
@@ -365,7 +365,7 @@ impl LockManager {
                     let g = entry.granted.iter_mut().find(|g| g.owner == owner).unwrap();
                     g.mode = g.mode.supremum(mode);
                     g.count += 1;
-                    self.stats.acquired.fetch_add(1, Ordering::Relaxed);
+                    self.stats.acquired.add(1);
                     self.note_held(owner, &name);
                     return Ok(0);
                 }
@@ -384,7 +384,7 @@ impl LockManager {
                     .map(|h| h.owner)
                     .collect();
                 if self.would_deadlock(owner, &blockers) {
-                    self.stats.deadlocks.fetch_add(1, Ordering::Relaxed);
+                    self.stats.deadlocks.add(1);
                     return Err(LockError::Deadlock);
                 }
                 entry.waiting.push_front(waiter.clone());
@@ -392,7 +392,7 @@ impl LockManager {
                 // Fresh request: FIFO — must also queue behind existing waiters.
                 if entry.waiting.is_empty() && entry.grant_compatible(owner, mode) {
                     entry.add_grant(owner, mode);
-                    self.stats.acquired.fetch_add(1, Ordering::Relaxed);
+                    self.stats.acquired.add(1);
                     self.note_held(owner, &name);
                     return Ok(0);
                 }
@@ -417,12 +417,12 @@ impl LockManager {
                         .filter(|&o| o != owner),
                 );
                 if self.would_deadlock(owner, &blockers) {
-                    self.stats.deadlocks.fetch_add(1, Ordering::Relaxed);
+                    self.stats.deadlocks.add(1);
                     return Err(LockError::Deadlock);
                 }
                 entry.waiting.push_back(waiter.clone());
             }
-            self.stats.waits.fetch_add(1, Ordering::Relaxed);
+            self.stats.waits.add(1);
             // Give promotion a chance (e.g. our waiter may be grantable if
             // the only conflict was a queue entry that got cancelled).
             if shard.entries.get_mut(&name).unwrap().promote() {
@@ -438,7 +438,7 @@ impl LockManager {
             {
                 let wg = waiter.lock();
                 if wg.granted {
-                    self.stats.acquired.fetch_add(1, Ordering::Relaxed);
+                    self.stats.acquired.add(1);
                     drop(wg);
                     self.clear_waits(owner);
                     self.note_held(owner, &name);
@@ -451,7 +451,7 @@ impl LockManager {
                 if wg.cancelled {
                     drop(wg);
                     self.clear_waits(owner);
-                    self.stats.deadlocks.fetch_add(1, Ordering::Relaxed);
+                    self.stats.deadlocks.add(1);
                     return Err(LockError::Deadlock);
                 }
             }
@@ -475,7 +475,7 @@ impl LockManager {
                     }
                 }
                 self.clear_waits(owner);
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+                self.stats.timeouts.add(1);
                 return Err(LockError::Timeout);
             }
         }
@@ -490,7 +490,7 @@ impl LockManager {
         if let Some(g) = entry.granted.iter_mut().find(|g| g.owner == owner) {
             if g.mode.covers(mode) {
                 g.count += 1;
-                self.stats.acquired.fetch_add(1, Ordering::Relaxed);
+                self.stats.acquired.add(1);
                 self.note_held(owner, &name);
                 return true;
             }
@@ -502,7 +502,7 @@ impl LockManager {
                 let g = entry.granted.iter_mut().find(|g| g.owner == owner).unwrap();
                 g.mode = g.mode.supremum(mode);
                 g.count += 1;
-                self.stats.acquired.fetch_add(1, Ordering::Relaxed);
+                self.stats.acquired.add(1);
                 self.note_held(owner, &name);
                 return true;
             }
@@ -510,7 +510,7 @@ impl LockManager {
         }
         if entry.waiting.is_empty() && entry.grant_compatible(owner, mode) {
             entry.add_grant(owner, mode);
-            self.stats.acquired.fetch_add(1, Ordering::Relaxed);
+            self.stats.acquired.add(1);
             self.note_held(owner, &name);
             return true;
         }

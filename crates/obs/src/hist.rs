@@ -7,7 +7,9 @@
 //! demand. Both use the same bucket layout, so snapshots merge freely
 //! with bench-side histograms.
 
+use crate::stripe::{stripe, STRIPES};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Sub-bucket precision: each power-of-two range is split into
@@ -147,21 +149,43 @@ impl LatencyHistogram {
 }
 
 /// A lock-free histogram with the same bucket layout as
-/// [`LatencyHistogram`]: any number of threads record concurrently
-/// (relaxed atomics — recording is a handful of uncontended
-/// `fetch_add`s), readers take a [`AtomicHistogram::snapshot`].
+/// [`LatencyHistogram`]: any number of threads record concurrently,
+/// readers take a [`AtomicHistogram::snapshot`].
+///
+/// Recording is striped per thread ([`crate::stripe`]): a thread
+/// updates only its own stripe's buckets, count, sum and max, so
+/// threads recording the same metric never write a shared cache line.
+/// A stripe is allocated on its first record; a snapshot merges the
+/// stripes.
 ///
 /// Snapshot consistency is best-effort: the per-bucket counts, total
 /// and sum are loaded in one pass but not atomically as a set, so a
 /// snapshot taken mid-traffic may be off by the records in flight.
 /// Each individual counter is exact and monotone.
 pub struct AtomicHistogram {
-    counts: Vec<AtomicU64>,
+    stripes: [OnceLock<Box<HistStripe>>; STRIPES],
+}
+
+/// One thread stripe of an [`AtomicHistogram`].
+#[repr(align(128))]
+struct HistStripe {
     count: AtomicU64,
     /// Total nanoseconds. `u64` is enough: ~584 years of accumulated
     /// latency before wrap.
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
+    counts: Box<[AtomicU64]>,
+}
+
+impl HistStripe {
+    fn new() -> Self {
+        HistStripe {
+            count: AtomicU64::new(0),
+            sum_ns: AtomicU64::new(0),
+            max_ns: AtomicU64::new(0),
+            counts: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
 }
 
 impl Default for AtomicHistogram {
@@ -174,10 +198,7 @@ impl AtomicHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         AtomicHistogram {
-            counts: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
+            stripes: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
@@ -188,29 +209,34 @@ impl AtomicHistogram {
 
     /// Record one latency given directly in nanoseconds.
     pub fn record_ns(&self, ns: u64) {
-        self.counts[LatencyHistogram::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        let s = self.stripes[stripe()].get_or_init(|| Box::new(HistStripe::new()));
+        s.counts[LatencyHistogram::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        s.count.fetch_add(1, Ordering::Relaxed);
+        s.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        s.max_ns.fetch_max(ns, Ordering::Relaxed);
+    }
+
+    fn live(&self) -> impl Iterator<Item = &HistStripe> {
+        self.stripes.iter().filter_map(|s| s.get().map(|b| &**b))
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.live().map(|s| s.count.load(Ordering::Relaxed)).sum()
     }
 
     /// Copy the current state into a queryable [`LatencyHistogram`].
     pub fn snapshot(&self) -> LatencyHistogram {
-        LatencyHistogram {
-            counts: self
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum_ns: self.sum_ns.load(Ordering::Relaxed) as u128,
-            max_ns: self.max_ns.load(Ordering::Relaxed),
+        let mut out = LatencyHistogram::new();
+        for s in self.live() {
+            for (a, c) in out.counts.iter_mut().zip(s.counts.iter()) {
+                *a += c.load(Ordering::Relaxed);
+            }
+            out.count += s.count.load(Ordering::Relaxed);
+            out.sum_ns += s.sum_ns.load(Ordering::Relaxed) as u128;
+            out.max_ns = out.max_ns.max(s.max_ns.load(Ordering::Relaxed));
         }
+        out
     }
 }
 

@@ -33,6 +33,7 @@ mod hist;
 pub mod registry;
 pub mod span;
 pub mod stage;
+pub mod stripe;
 
 pub use hist::{AtomicHistogram, LatencyHistogram};
 pub use registry::{

@@ -17,29 +17,38 @@
 //! relation matters — the repo's own tests do exactly that.
 
 use std::fmt;
-use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::hist::{AtomicHistogram, LatencyHistogram};
+use crate::stripe::StripedU64;
 
-/// A monotonically increasing counter.
-///
-/// Derefs to its inner [`AtomicU64`] so existing
-/// `stats.field.fetch_add(1, Relaxed)` call sites (and the
-/// `bump(&stats.field)` helpers) keep compiling unchanged after a
-/// stats struct swaps its raw atomics for registered counters.
+/// A monotonically increasing counter, striped per thread
+/// ([`crate::stripe`]): bumping it writes only the calling thread's
+/// stripe, so hot-path counters cost no shared-cache-line traffic.
 #[derive(Clone, Debug, Default)]
 pub struct Counter {
-    v: Arc<AtomicU64>,
+    v: Arc<StripedU64>,
 }
 
-impl Deref for Counter {
-    type Target = AtomicU64;
-    fn deref(&self) -> &AtomicU64 {
-        &self.v
+impl Counter {
+    /// Add one.
+    #[inline]
+    pub fn inc(&self) {
+        self.v.add(1);
+    }
+
+    /// Add `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.v.add(n);
+    }
+
+    /// Current value (the sum over the stripes).
+    pub fn get(&self) -> u64 {
+        self.v.get()
     }
 }
 
@@ -225,7 +234,7 @@ impl Registry {
                     unit: m.unit.to_string(),
                     help: m.help.to_string(),
                     value: match &m.slot {
-                        Slot::Counter(c) => SampleValue::Counter(c.load(Ordering::Relaxed)),
+                        Slot::Counter(c) => SampleValue::Counter(c.get()),
                         Slot::Gauge(g) => SampleValue::Gauge(g.get()),
                         Slot::Histogram(h) => SampleValue::Histogram(h.snapshot()),
                     },
@@ -337,7 +346,7 @@ mod tests {
         let c = r.counter("test.ops_done", "ops", "operations completed");
         let g = r.gauge("test.window_us", "us", "current window");
         let h = r.histogram("test.op_ns", "ns", "operation latency");
-        c.fetch_add(3, Ordering::Relaxed);
+        c.add(3);
         g.set(17);
         h.record(Duration::from_nanos(1_000));
         h.record(Duration::from_nanos(3_000));
@@ -385,7 +394,7 @@ mod tests {
             let c = r.counter("x.count", "ops", "");
             let g = r.gauge("x.gauge", "us", "");
             let h = r.histogram("x.lat_ns", "ns", "");
-            c.fetch_add(n, Ordering::Relaxed);
+            c.add(n);
             g.set(n);
             h.record_ns(n * 1_000);
             r.snapshot()

@@ -424,6 +424,11 @@ pub struct LogStore<R> {
     /// outside the inner mutex by returning `group_force` callers to
     /// split their wall-clock wait into gather vs. flush time.
     last_flush_ns: AtomicU64,
+    /// The stable end (`base + stable`), mirrored outside the inner
+    /// mutex so [`LogStore::stable_seq`] — which every snapshot read
+    /// asks — takes no lock. Stored under the mutex whenever a flush
+    /// advances it; truncation and crashes leave it unchanged.
+    stable_end: AtomicU64,
     registry: Arc<obs::Registry>,
     /// Per-caller time gathering (waiting on window/leader) before the
     /// covering flush, excluding the flush itself.
@@ -461,6 +466,7 @@ impl<R: Clone> LogStore<R> {
             gather: Condvar::new(),
             stats: Arc::new(IoStats::new()),
             last_flush_ns: AtomicU64::new(0),
+            stable_end: AtomicU64::new(0),
             gather_hist: registry.histogram(
                 "storage.gather_wait_ns",
                 "ns",
@@ -571,6 +577,7 @@ impl<R: Clone> LogStore<R> {
                     let n = covers.min(g.records.len());
                     if n > g.stable {
                         g.stable = n;
+                        self.stable_end.store(g.stable_seq(), Ordering::Release);
                         g.force_epoch += 1;
                         self.stats.log_force();
                         self.force_done.notify_all();
@@ -587,6 +594,7 @@ impl<R: Clone> LogStore<R> {
                 obs::stage::add(obs::stage::Stage::Force, took_ns);
                 obs::span_interval_ago("storage.force", took_ns, 0);
                 g.stable = g.records.len();
+                self.stable_end.store(g.stable_seq(), Ordering::Release);
                 g.force_epoch += 1;
                 self.stats.log_force();
                 self.force_done.notify_all();
@@ -743,6 +751,7 @@ impl<R: Clone> LogStore<R> {
             let new_stable = covers.min(g.last_seq());
             if g.crashes == entry_generation && new_stable > g.stable_seq() {
                 g.stable = (new_stable - g.base) as usize;
+                self.stable_end.store(new_stable, Ordering::Release);
                 self.stats.log_force();
             }
             // Everyone this flush covered is durable *now* — retire
@@ -969,8 +978,7 @@ impl<R: Clone> LogStore<R> {
 
     /// Sequence number of the last stable record (0 if none).
     pub fn stable_seq(&self) -> u64 {
-        let g = self.inner.lock();
-        g.base + g.stable as u64
+        self.stable_end.load(Ordering::Acquire)
     }
 
     /// Sequence number of the last appended record (0 if none).

@@ -7,23 +7,44 @@
 //! lower-or-equal LSN has been replied to. Non-operation log records
 //! (Commit/Prepare/Checkpoint/…) also consume LSNs; they count as
 //! instantly "acked".
+//!
+//! The same bookkeeping yields the **visible frontier** snapshot reads
+//! pin to: the largest LSN such that every commit stamp at or below it
+//! has been delivered. A commit's stamps sit below its commit LSN, so a
+//! snapshot at or below the frontier sees each commit whole or not at
+//! all. It is published in an atomic, so readers take no lock.
 
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use unbundled_core::Lsn;
 
 /// Tracks outstanding (sent, unacknowledged) operation LSNs.
 #[derive(Default)]
 pub struct AckTracker {
     inner: Mutex<AckInner>,
+    /// The visible frontier (see the module docs), stored under `inner`
+    /// whenever it moves.
+    visible: AtomicU64,
 }
 
 #[derive(Default)]
 struct AckInner {
     /// LSNs sent but not yet acked.
     outstanding: BTreeSet<u64>,
+    /// The commit stamps among `outstanding`.
+    stamps: BTreeSet<u64>,
     /// Highest LSN ever assigned (by anyone — ops or bookkeeping).
     highest: u64,
+}
+
+impl AckInner {
+    fn visible(&self) -> u64 {
+        match self.stamps.first() {
+            Some(&min) => min - 1,
+            None => self.highest,
+        }
+    }
 }
 
 impl AckTracker {
@@ -32,22 +53,42 @@ impl AckTracker {
         Self::default()
     }
 
+    fn publish(&self, g: &AckInner) {
+        // Store only on a change: readers on other cores keep the line.
+        let v = g.visible();
+        if self.visible.load(Ordering::Relaxed) != v {
+            self.visible.store(v, Ordering::Release);
+        }
+    }
+
     /// Note that `lsn` was assigned to an operation now in flight.
     pub fn sent(&self, lsn: Lsn) {
         let mut g = self.inner.lock();
         g.outstanding.insert(lsn.0);
         g.highest = g.highest.max(lsn.0);
+        self.publish(&g);
+    }
+
+    /// Note that `lsn` was assigned to a commit stamp now in flight:
+    /// the visible frontier stays below it until it is acknowledged.
+    pub fn stamp_sent(&self, lsn: Lsn) {
+        let mut g = self.inner.lock();
+        g.outstanding.insert(lsn.0);
+        g.stamps.insert(lsn.0);
+        g.highest = g.highest.max(lsn.0);
+        self.publish(&g);
     }
 
     /// Note a non-operation LSN (instantly complete).
     pub fn bookkeeping(&self, lsn: Lsn) {
         let mut g = self.inner.lock();
         g.highest = g.highest.max(lsn.0);
+        self.publish(&g);
     }
 
     /// Note that `lsn` was acknowledged.
     pub fn acked(&self, lsn: Lsn) {
-        self.inner.lock().outstanding.remove(&lsn.0);
+        self.acked_many([lsn]);
     }
 
     /// Note a whole batch of acknowledgements (a [`ReplyBatch`] arrived):
@@ -63,8 +104,17 @@ impl AckTracker {
         }
         let mut g = self.inner.lock();
         for lsn in lsns {
-            g.outstanding.remove(&lsn.0);
+            if g.outstanding.remove(&lsn.0) {
+                g.stamps.remove(&lsn.0);
+            }
         }
+        self.publish(&g);
+    }
+
+    /// The visible frontier: every commit stamp at or below it has been
+    /// delivered. Lock-free.
+    pub fn visible(&self) -> Lsn {
+        Lsn(self.visible.load(Ordering::Acquire))
     }
 
     /// The low-water mark: all operations ≤ this LSN have replies.
@@ -85,13 +135,36 @@ impl AckTracker {
     pub fn reset(&self, highest: Lsn) {
         let mut g = self.inner.lock();
         g.outstanding.clear();
+        g.stamps.clear();
         g.highest = highest.0;
+        self.publish(&g);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn visible_frontier_waits_for_stamps_only() {
+        let t = AckTracker::new();
+        t.sent(Lsn(1)); // an operation in flight
+        t.stamp_sent(Lsn(2));
+        t.stamp_sent(Lsn(3));
+        t.bookkeeping(Lsn(4)); // their commit record
+        assert_eq!(t.visible(), Lsn(1), "stamp 2 undelivered");
+        t.acked(Lsn(2));
+        assert_eq!(t.visible(), Lsn(2), "stamp 3 undelivered");
+        t.acked(Lsn(3));
+        assert_eq!(
+            t.visible(),
+            Lsn(4),
+            "every stamp delivered: an unacked op does not hold it"
+        );
+        assert_eq!(t.lwm(), Lsn(0), "the low-water mark still does");
+        t.reset(Lsn(9));
+        assert_eq!(t.visible(), Lsn(9));
+    }
 
     #[test]
     fn lwm_is_contiguous_acked_prefix() {

@@ -50,6 +50,7 @@ pub mod stats;
 pub mod tc;
 pub mod tclog;
 pub mod twopc;
+mod txns;
 
 pub use acks::AckTracker;
 pub use rebalance::RebalanceFence;

@@ -175,7 +175,7 @@ impl Tc {
                 .lock()
                 .get(&(coord, gtxn))
                 .copied()
-                .and_then(|local| self.txns.lock().get(&local).cloned())
+                .and_then(|local| self.txns.get(local))
                 .map(|st| {
                     let mut g = st.lock();
                     if g.shard_points.iter().any(|p| f.covers(*p)) {
@@ -259,10 +259,11 @@ impl Tc {
     /// the fence.
     pub fn rebalance_drained(&self, lo: u64, hi: u64) -> bool {
         let _fence = self.rebalance_fence.lock();
-        let txns = self.txns.lock();
-        !txns
-            .values()
-            .any(|st| st.lock().shard_points.iter().any(|p| *p >= lo && *p <= hi))
+        !self
+            .txns
+            .all()
+            .iter()
+            .any(|(_, st)| st.lock().shard_points.iter().any(|p| *p >= lo && *p <= hi))
     }
 
     /// Phase 3: the range is drained — force the

@@ -241,7 +241,7 @@ impl Tc {
             self.session.restart(dc, None)?;
         }
         self.set_available(true);
-        self.force_and_publish();
+        self.republish();
 
         // --- 2PC tail. Acknowledge branch commits only now: the
         // ParticipantCommit records above are stable, so the coordinator
@@ -315,7 +315,7 @@ impl Tc {
             }
         }
         self.session.restart(dc, None)?;
-        self.force_and_publish();
+        self.republish();
         Ok(())
     }
 
@@ -326,7 +326,7 @@ impl Tc {
         // Wake anyone parked on a rebalance fence: they must observe
         // unavailability, not sleep out their timeout against a dead TC.
         self.abandon_fence();
-        self.txns.lock().clear();
+        self.txns.clear();
         self.session.forget_replies();
         self.participants.lock().clear();
         self.pending_decisions.lock().clear();
@@ -335,6 +335,6 @@ impl Tc {
 
     /// Active transactions (diagnostics).
     pub fn active_txns(&self) -> Vec<TxnId> {
-        self.txns.lock().keys().copied().collect()
+        self.txns.all().into_iter().map(|(t, _)| t).collect()
     }
 }

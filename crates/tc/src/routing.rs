@@ -7,7 +7,7 @@
 //! which is how all of the paper's example schemas cluster.
 
 use std::sync::Arc;
-use unbundled_core::{range_owner, range_owners, route_point, DcId, Key, TcToDc};
+use unbundled_core::{range_owner, range_owners, route_point, DcId, DcToTc, Key, TcToDc};
 
 /// Transport-facing half: something that can carry a message to a DC.
 /// Replies flow back through `Tc::deliver`.
@@ -15,6 +15,17 @@ pub trait DcLink: Send + Sync {
     /// Fire-and-forget send (the transport may delay / reorder / drop
     /// `Perform` messages; control messages are reliable).
     fn send(&self, msg: TcToDc);
+
+    /// Run `msg` at the DC on the calling thread and put its replies in
+    /// `replies` instead of delivering them through `Tc::deliver`: a
+    /// link that is a plain call lets the caller take its reply without
+    /// a rendezvous. A link that is not hands the message back unsent
+    /// (the default); the caller then sends it and awaits the reply.
+    /// A DC that is down yields no reply, like a lost datagram.
+    fn call(&self, msg: TcToDc, replies: &mut Vec<DcToTc>) -> Result<(), TcToDc> {
+        let _ = replies;
+        Err(msg)
+    }
 }
 
 /// Where a table's records live.

@@ -17,25 +17,34 @@
 //!   acks — each a request whose one reply is awaited for a bounded
 //!   time.
 //!
-//! Every waiter, operation reply or control reply, is a [`Slot`] in a
-//! [`Waiters`] map, registered before its request is sent (an inline
-//! transport delivers the reply during the send) and removed when the
+//! A request over a link that is a plain call (the inline transport)
+//! gets its reply back from the call itself. Every other waiter,
+//! operation reply or control reply, is a [`Slot`] in a [`Waiters`]
+//! map, registered before its request is sent and removed when the
 //! waiter returns.
+//!
+//! Nothing a lock-free read passes through is a shared write: the
+//! directory is a [`ReadMostly`] (a copy per thread stripe), the gate
+//! is checked with one atomic load while no DC is gated, read ids come
+//! from per-thread stripes, and an inline read never touches the
+//! waiter map.
 
 use crate::acks::AckTracker;
 use crate::routing::{DcLink, TableRoute};
 use crate::stats::TcStats;
 use crate::tc::TcConfig;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::{BuildHasher, Hash};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use unbundled_core::{
-    DcError, DcId, DcToTc, LogicalOp, Lsn, OpResult, RequestId, TableId, TcError, TcId, TcToDc,
+    DcError, DcId, DcToTc, Key, LogicalOp, Lsn, OpResult, RequestId, TableId, TcError, TcId, TcToDc,
 };
 use unbundled_obs as obs;
+use unbundled_obs::stripe::{stripe, Padded, ReadMostly, STRIPES};
 
 /// How long a control exchange waits for its reply. The checkpoint and
 /// restart conversations are reliable; a reply that never comes (the DC
@@ -77,23 +86,33 @@ impl<T> Slot<T> {
     }
 }
 
+/// One shard of a [`Waiters`] map.
+type WaiterShard<K, T> = Padded<Mutex<HashMap<K, Arc<Slot<T>>>>>;
+
 /// Waiters keyed by what their reply names. Waiters registering the
-/// same key share one slot.
+/// same key share one slot. The map is sharded by key, so concurrent
+/// requests (distinct keys) rarely meet on one lock.
 pub(crate) struct Waiters<K, T> {
-    map: Mutex<HashMap<K, Arc<Slot<T>>>>,
+    shards: [WaiterShard<K, T>; STRIPES],
+    hasher: RandomState,
 }
 
 impl<K: Copy + Eq + Hash, T> Waiters<K, T> {
     fn new() -> Self {
         Waiters {
-            map: Mutex::new(HashMap::new()),
+            shards: std::array::from_fn(|_| Padded(Mutex::new(HashMap::new()))),
+            hasher: RandomState::new(),
         }
+    }
+
+    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Arc<Slot<T>>>> {
+        &self.shards[(self.hasher.hash_one(key) % STRIPES as u64) as usize].0
     }
 
     /// Register interest in the reply for `key`.
     pub(crate) fn expect(&self, key: K) -> Waiter<'_, K, T> {
         let slot = self
-            .map
+            .shard(&key)
             .lock()
             .entry(key)
             .or_insert_with(|| {
@@ -110,17 +129,30 @@ impl<K: Copy + Eq + Hash, T> Waiters<K, T> {
         }
     }
 
-    /// Hand replies to their waiters under one map lock. Returns how
-    /// many found no waiter, or a slot already holding a reply.
+    /// Hand replies to their waiters. Returns how many found no waiter,
+    /// or a slot already holding a reply.
     fn fill(&self, replies: impl IntoIterator<Item = (K, T)>) -> u64 {
-        let map = self.map.lock();
         let mut unclaimed = 0;
         for (key, v) in replies {
-            if !map.get(&key).is_some_and(|slot| slot.fill(v)) {
+            let slot = self.shard(&key).lock().get(&key).cloned();
+            if !slot.is_some_and(|slot| slot.fill(v)) {
                 unclaimed += 1;
             }
         }
         unclaimed
+    }
+
+    /// Registered waiters (tests).
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.0.lock().len()).sum()
+    }
+
+    /// Forget every waiter.
+    fn clear(&self) {
+        for s in &self.shards {
+            s.0.lock().clear();
+        }
     }
 }
 
@@ -140,7 +172,7 @@ impl<K: Copy + Eq + Hash, T> Waiter<'_, K, T> {
 
 impl<K: Copy + Eq + Hash, T> Drop for Waiter<'_, K, T> {
     fn drop(&mut self) {
-        let mut map = self.owner.map.lock();
+        let mut map = self.owner.shard(&self.key).lock();
         if map
             .get(&self.key)
             .is_some_and(|s| Arc::ptr_eq(s, &self.slot))
@@ -179,7 +211,7 @@ pub(crate) enum Path<'a> {
 }
 
 /// Where things live, changed only by registration and failover.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Directory {
     routes: HashMap<TableId, TableRoute>,
     links: HashMap<DcId, Arc<dyn DcLink>>,
@@ -214,11 +246,20 @@ pub(crate) struct DcSession {
     resend_interval: Duration,
     max_resends: u32,
     stats: Arc<TcStats>,
-    dir: RwLock<Directory>,
+    dir: ReadMostly<Directory>,
     /// DCs currently being recovered: normal sends wait.
     gated: Mutex<HashSet<DcId>>,
+    /// `gated.len()`, readable without the lock: zero means no send
+    /// needs to look at the gate.
+    gated_count: AtomicUsize,
     gate_cv: Condvar,
-    next_read: AtomicU64,
+    /// Per-stripe read-id sequences: stripe `s` hands out
+    /// `seq * STRIPES + s`.
+    next_read: [Padded<AtomicU64>; STRIPES],
+    /// Serializes checkpoint exchanges: every one shares the
+    /// `(dc, CheckpointDone)` reply key, so two in flight at once would
+    /// share a slot and one would lose its reply.
+    checkpoint_flight: Mutex<()>,
     /// Sent-but-unacknowledged operation LSNs: the low-water mark.
     pub(crate) acks: AckTracker,
     /// Out-of-band crash prompts received (the kernel drains these).
@@ -234,10 +275,12 @@ impl DcSession {
             resend_interval: cfg.resend_interval,
             max_resends: cfg.max_resends,
             stats,
-            dir: RwLock::new(Directory::default()),
+            dir: ReadMostly::new(Directory::default()),
             gated: Mutex::new(HashSet::new()),
+            gated_count: AtomicUsize::new(0),
             gate_cv: Condvar::new(),
-            next_read: AtomicU64::new(1),
+            next_read: std::array::from_fn(|_| Padded(AtomicU64::new(1))),
+            checkpoint_flight: Mutex::new(()),
             acks: AckTracker::new(),
             crashed_prompts: Mutex::new(Vec::new()),
             replies: Waiters::new(),
@@ -250,11 +293,25 @@ impl DcSession {
     // ------------------------------------------------------------------
 
     pub(crate) fn register_dc(&self, dc: DcId, link: Arc<dyn DcLink>) {
-        self.dir.write().links.insert(dc, link);
+        self.dir
+            .write()
+            .update(|d| d.links.insert(dc, link.clone()));
     }
 
     pub(crate) fn register_table(&self, table: TableId, route: TableRoute) {
-        self.dir.write().routes.insert(table, route);
+        self.dir
+            .write()
+            .update(|d| d.routes.insert(table, route.clone()));
+    }
+
+    /// The DC hosting `key` of `table`.
+    pub(crate) fn dc_for(&self, table: TableId, key: &Key) -> Result<DcId, TcError> {
+        self.dir
+            .read()
+            .routes
+            .get(&table)
+            .map(|r| r.dc_for(key))
+            .ok_or(TcError::NoSuchDc(DcId(u16::MAX)))
     }
 
     pub(crate) fn route(&self, table: TableId) -> Result<TableRoute, TcError> {
@@ -298,19 +355,22 @@ impl DcSession {
     /// `new` from now on, its link is gone, and `new` serves over
     /// `link` when one is given.
     pub(crate) fn repoint(&self, old: DcId, new: DcId, link: Option<Arc<dyn DcLink>>) {
-        let mut dir = self.dir.write();
-        dir.links.remove(&old);
-        if let Some(link) = link {
-            dir.links.insert(new, link);
-        }
-        dir.aliases.insert(old, new);
+        self.dir.write().update(|dir| {
+            dir.links.remove(&old);
+            if let Some(link) = &link {
+                dir.links.insert(new, link.clone());
+            }
+            dir.aliases.insert(old, new);
+        });
     }
 
     /// Failover re-routing: table routes mapping to `old` map to `new`.
     pub(crate) fn reroute(&self, old: DcId, new: DcId) {
-        for route in self.dir.write().routes.values_mut() {
-            route.replace_dc(old, new);
-        }
+        self.dir.write().update(|dir| {
+            for route in dir.routes.values_mut() {
+                route.replace_dc(old, new);
+            }
+        });
     }
 
     /// The promotion redo floor for `dc`, if one exists: recovery never
@@ -320,9 +380,10 @@ impl DcSession {
     }
 
     pub(crate) fn raise_redo_floor(&self, dc: DcId, floor: Lsn) {
-        let mut dir = self.dir.write();
-        let e = dir.redo_floors.entry(dc).or_insert(Lsn(0));
-        *e = (*e).max(floor);
+        self.dir.write().update(|dir| {
+            let e = dir.redo_floors.entry(dc).or_insert(Lsn(0));
+            *e = (*e).max(floor);
+        });
     }
 
     /// Send a control message to every registered DC.
@@ -337,15 +398,22 @@ impl DcSession {
     // ------------------------------------------------------------------
 
     pub(crate) fn gate(&self, dc: DcId) {
-        self.gated.lock().insert(dc);
+        let mut g = self.gated.lock();
+        g.insert(dc);
+        self.gated_count.store(g.len(), Ordering::SeqCst);
     }
 
     pub(crate) fn ungate(&self, dc: DcId) {
-        self.gated.lock().remove(&dc);
+        let mut g = self.gated.lock();
+        g.remove(&dc);
+        self.gated_count.store(g.len(), Ordering::SeqCst);
         self.gate_cv.notify_all();
     }
 
     fn gate_wait(&self, dc: DcId) {
+        if self.gated_count.load(Ordering::SeqCst) == 0 {
+            return;
+        }
         let mut g = self.gated.lock();
         while g.contains(&dc) {
             self.gate_cv.wait(&mut g);
@@ -358,11 +426,16 @@ impl DcSession {
 
     /// A fresh id for an unlogged request (read, scan or probe).
     pub(crate) fn next_read(&self) -> RequestId {
-        RequestId::Read(self.next_read.fetch_add(1, Ordering::Relaxed))
+        let s = stripe();
+        let seq = self.next_read[s].0.fetch_add(1, Ordering::Relaxed);
+        RequestId::Read(seq * STRIPES as u64 + s as u64)
     }
 
     /// Send an operation and wait for its reply, resending on timeout
-    /// (exactly-once overall thanks to DC idempotence).
+    /// (exactly-once overall thanks to DC idempotence). Over a link that
+    /// is a plain call the reply comes back from the call; otherwise it
+    /// arrives through [`DcSession::deliver`] into a waiter registered
+    /// before the send.
     pub(crate) fn send_op(
         &self,
         dc: DcId,
@@ -370,25 +443,41 @@ impl DcSession {
         op: &LogicalOp,
         path: Path<'_>,
     ) -> Result<OpReply, TcError> {
-        let waiter = self.replies.expect(req);
+        let mut waiter = None;
         let mut attempts: u32 = 0;
         loop {
-            let resolved;
-            let link = match path {
-                Path::Via(link) => link,
-                Path::Gated | Path::Bypass => {
-                    if let Path::Gated = path {
-                        self.gate_wait(dc);
-                    }
-                    resolved = self.link(dc)?;
-                    &resolved
-                }
-            };
-            link.send(TcToDc::Perform {
+            if let Path::Gated = path {
+                self.gate_wait(dc);
+            }
+            let msg = TcToDc::Perform {
                 tc: self.tc,
                 req,
                 op: op.clone(),
-            });
+            };
+            let send = |link: &Arc<dyn DcLink>| {
+                let mut replies = Vec::new();
+                match link.call(msg, &mut replies) {
+                    Ok(()) => Some(replies),
+                    Err(msg) => {
+                        if waiter.is_none() {
+                            waiter = Some(self.replies.expect(req));
+                        }
+                        link.send(msg);
+                        None
+                    }
+                }
+            };
+            let called = match path {
+                Path::Via(link) => send(link),
+                Path::Gated | Path::Bypass => {
+                    let dir = self.dir.read();
+                    let link = dir
+                        .links
+                        .get(&dir.resolve(dc))
+                        .ok_or(TcError::NoSuchDc(dc))?;
+                    send(link)
+                }
+            };
             if attempts == 0 {
                 if req.lsn().is_some() {
                     TcStats::bump(&self.stats.ops_sent);
@@ -398,14 +487,48 @@ impl DcSession {
             } else {
                 TcStats::bump(&self.stats.resends);
             }
-            if let Some(result) = waiter.wait(Instant::now() + self.resend_interval) {
-                return Ok(result);
+            let deadline = Instant::now() + self.resend_interval;
+            match called {
+                Some(replies) => {
+                    if let Some(result) = self.take_reply(req, replies) {
+                        return Ok(result);
+                    }
+                    // The DC is down: the call was lost, like a dropped
+                    // datagram. Resend after the same interval.
+                    std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                }
+                None => {
+                    let w = waiter.as_ref().expect("registered before the send");
+                    if let Some(result) = w.wait(deadline) {
+                        return Ok(result);
+                    }
+                }
             }
             attempts += 1;
             if attempts > self.max_resends {
                 return Err(TcError::DcUnreachable(dc));
             }
         }
+    }
+
+    /// The replies of a call: the one answering `req` is returned
+    /// (advancing the ack frontier if it acks an operation), and any
+    /// other is delivered as if it had arrived on its own.
+    fn take_reply(&self, req: RequestId, replies: Vec<DcToTc>) -> Option<OpReply> {
+        let mut mine = None;
+        for m in replies {
+            match m {
+                DcToTc::Reply { req: r, result, .. } if r == req && mine.is_none() => {
+                    let _s = obs::stage::in_commit_scope().then(|| obs::span("tc.ack"));
+                    if let Some(lsn) = req.lsn() {
+                        self.acks.acked(lsn);
+                    }
+                    mine = Some(result);
+                }
+                other => self.deliver(other),
+            }
+        }
+        mine
     }
 
     /// Recovery traffic, which passes the gate: send the logged
@@ -425,6 +548,7 @@ impl DcSession {
             tc: self.tc,
             new_rssp,
         };
+        let _one = self.checkpoint_flight.lock();
         self.exchange(dc, Control::CheckpointDone, msg)
     }
 
@@ -502,14 +626,13 @@ impl DcSession {
     /// Forget every reply waiter (TC crash): replies still in flight
     /// count as stale.
     pub(crate) fn forget_replies(&self) {
-        self.replies.map.lock().clear();
+        self.replies.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unbundled_core::Key;
 
     const DC: DcId = DcId(1);
 
@@ -580,7 +703,7 @@ mod tests {
         let s = session(1);
         s.deliver(reply(RequestId::Read(99), 1));
         assert_eq!(s.stats.snapshot().stale_replies, 1);
-        assert_eq!(s.replies.map.lock().len(), 0);
+        assert_eq!(s.replies.len(), 0);
     }
 
     #[test]
@@ -605,7 +728,7 @@ mod tests {
             tc: TcId(1),
             rssp: Lsn(5),
         });
-        assert_eq!(s.control.map.lock().len(), 0);
+        assert_eq!(s.control.len(), 0);
         let w = s.control.expect((DC, Control::CheckpointDone));
         assert_eq!(w.wait(Instant::now() + Duration::from_millis(5)), None);
     }
@@ -622,8 +745,8 @@ mod tests {
             let w = s.control.expect((DC, Control::RestartReady));
             assert_eq!(w.wait(Instant::now() + Duration::from_millis(5)), None);
         }
-        assert_eq!(s.replies.map.lock().len(), 0);
-        assert_eq!(s.control.map.lock().len(), 0);
+        assert_eq!(s.replies.len(), 0);
+        assert_eq!(s.control.len(), 0);
     }
 
     #[test]
@@ -636,7 +759,7 @@ mod tests {
         assert_eq!(r, Ok(OpResult::Done));
         let snap = s.stats.snapshot();
         assert_eq!((snap.reads_sent, snap.resends), (1, 1));
-        assert_eq!(s.replies.map.lock().len(), 0);
+        assert_eq!(s.replies.len(), 0);
     }
 
     #[test]

@@ -178,18 +178,21 @@ macro_rules! tc_stats {
                 &self.registry
             }
 
-            pub(crate) fn bump(c: &AtomicU64) {
-                c.fetch_add(1, Ordering::Relaxed);
+            pub(crate) fn bump(c: &Counter) {
+                c.inc();
             }
 
-            pub(crate) fn add(c: &AtomicU64, n: u64) {
-                c.fetch_add(n, Ordering::Relaxed);
+            pub(crate) fn add(c: &Counter, n: u64) {
+                c.add(n);
             }
         }
     };
 }
 
 tc_stats! {
+    /// Low-water-mark broadcasts skipped because the clamped mark had
+    /// not advanced since the last one.
+    lwm_skipped => "tc.lwm_skipped", "low-water-mark broadcasts skipped (not advanced)";
     /// Transactions committed.
     commits => "tc.commits", "transactions committed";
     /// Transactions aborted (user abort, deadlock, operation failure).

@@ -16,8 +16,9 @@ use crate::shipper::{ReplicaLag, Shipper};
 use crate::stats::TcStats;
 use crate::tclog::{TcLogHandle, TcLogRecord};
 use crate::twopc::TcPeer;
+use crate::txns::{SnapshotPins, TxnRef, TxnTable};
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,6 +28,7 @@ use unbundled_core::{
 };
 use unbundled_lockmgr::{LockError, LockManager, LockMode, LockName, LockToken};
 use unbundled_obs as obs;
+use unbundled_obs::stripe::ReadMostly;
 use unbundled_storage::{GatherWindow, LogStore};
 
 /// Group-commit tuning (see [`TcConfig::group_commit`]).
@@ -119,10 +121,13 @@ pub(crate) struct TxnState {
     /// and are never stamped; GC reclaims them once their LSN falls
     /// under the LWM).
     pub(crate) writes: WriteSet,
-    /// Pinned MVCC snapshot: the stable LSN captured at this
+    /// Pinned MVCC snapshot: the position resolved at this
     /// transaction's first [`SnapshotSpec::Pinned`] read and reused for
-    /// every later one (repeatable reads within the transaction).
-    pub(crate) snapshot: Option<Lsn>,
+    /// every later one (repeatable reads within the transaction), with
+    /// the pin stripe it is registered on.
+    pub(crate) snapshot: Option<(Lsn, usize)>,
+    /// The transaction has taken a lock, so its end must release them.
+    pub(crate) locked: bool,
     /// Cross-TC coordinator role: participant shards holding branches of
     /// this transaction. Non-empty means commit goes through 2PC.
     pub(crate) remotes: HashSet<TcId>,
@@ -156,11 +161,11 @@ pub struct Tc {
     /// The conversation with the DCs: routes, links, resend, acks,
     /// gating and the control exchanges.
     pub(crate) session: DcSession,
-    pub(crate) txns: Mutex<HashMap<TxnId, Arc<Mutex<TxnState>>>>,
-    /// Open pinned-snapshot positions (LSN -> pin count). The minimum
-    /// clamps the published low-water mark so DC-side version-chain GC
-    /// never prunes history an open snapshot still needs.
-    snapshot_pins: Mutex<BTreeMap<u64, usize>>,
+    pub(crate) txns: TxnTable,
+    /// Open pinned-snapshot positions. The oldest clamps the published
+    /// low-water mark so DC-side version-chain GC never prunes history
+    /// an open snapshot still needs.
+    snapshot_pins: SnapshotPins,
     /// Serializes LSN allocation with ack-tracker registration: the
     /// low-water mark must never be computed between an append (which
     /// fixes the LSN order) and the `sent`/`bookkeeping` registration of
@@ -168,12 +173,11 @@ pub struct Tc {
     /// covering an in-flight operation, and the DC would suppress its
     /// first delivery as a duplicate.
     alloc: Mutex<()>,
-    /// Highest EOSL published so far. Group committers whose force was
+    /// The frontier published so far. Group committers whose force was
     /// led by another committer skip the broadcast when the leader's
     /// publication already covers them; holding this lock across the
     /// broadcast keeps publications monotone per DC.
-    published: Mutex<Lsn>,
-    next_txn: AtomicU64,
+    published: Mutex<Published>,
     pub(crate) rssp: AtomicU64,
     appends_since_force: AtomicU64,
     /// Replication: committed-redo shipping to read-only DC replicas.
@@ -182,8 +186,8 @@ pub struct Tc {
     replica_rr: AtomicU64,
     available: AtomicBool,
     /// Key-range → TC ownership. `None` (the default) disables all
-    /// cross-TC machinery — every key is local.
-    pub(crate) shard_map: RwLock<Option<TcShardMap>>,
+    /// cross-TC machinery — every key is local. Read by every operation.
+    pub(crate) shard_map: ReadMostly<Option<TcShardMap>>,
     /// Peer TC shards, by id. Handles survive peer reboots (the kernel
     /// registers an indirection that always resolves the current `Tc`).
     pub(crate) peers: RwLock<HashMap<TcId, Arc<dyn TcPeer>>>,
@@ -208,6 +212,15 @@ pub struct Tc {
     stats: Arc<TcStats>,
 }
 
+/// What the TC last broadcast to its DCs.
+#[derive(Default)]
+struct Published {
+    eosl: Lsn,
+    /// The last low-water mark broadcast; a publication whose clamped
+    /// mark is not above it skips the broadcast.
+    lwm: Lsn,
+}
+
 impl Tc {
     /// Create a TC over a (possibly crash-surviving) log store. For a
     /// rebooted TC, call [`Tc::run_recovery`] after registering DCs and
@@ -220,17 +233,16 @@ impl Tc {
             cfg,
             log: TcLogHandle::new(log),
             locks: Arc::new(LockManager::new()),
-            txns: Mutex::new(HashMap::new()),
-            snapshot_pins: Mutex::new(BTreeMap::new()),
+            txns: TxnTable::default(),
+            snapshot_pins: SnapshotPins::default(),
             alloc: Mutex::new(()),
-            published: Mutex::new(Lsn(0)),
-            next_txn: AtomicU64::new(1),
+            published: Mutex::new(Published::default()),
             rssp: AtomicU64::new(1),
             appends_since_force: AtomicU64::new(0),
             shipper: Shipper::new(),
             replica_rr: AtomicU64::new(0),
             available: AtomicBool::new(true),
-            shard_map: RwLock::new(None),
+            shard_map: ReadMostly::new(None),
             peers: RwLock::new(HashMap::new()),
             participants: Mutex::new(HashMap::new()),
             pending_decisions: Mutex::new(HashMap::new()),
@@ -370,6 +382,16 @@ impl Tc {
         self.publish_locked(&mut published, eosl);
     }
 
+    /// [`Tc::force_and_publish`] for DCs that lost what was published
+    /// (a rebooted DC, a TC-crash reset, a promoted replica): the
+    /// low-water mark is re-broadcast even if it has not advanced.
+    pub(crate) fn republish(&self) {
+        let eosl = self.force_log();
+        let mut published = self.published.lock();
+        published.lwm = Lsn::NULL;
+        self.publish_locked(&mut published, eosl);
+    }
+
     /// Make the commit record at `lsn` durable and publish the frontier:
     /// a solo force + broadcast when group commit is off, otherwise the
     /// log's group-force path (lead or piggyback) with one EOSL/LWM
@@ -384,7 +406,7 @@ impl Tc {
                     .group_force(lsn.0, gc.window, gc.max_waiters));
                 // Coalesce: only the first committer per flush publishes.
                 let mut published = self.published.lock();
-                if *published >= eosl {
+                if published.eosl >= eosl {
                     TcStats::bump(&self.stats.publishes_coalesced);
                     return;
                 }
@@ -397,20 +419,29 @@ impl Tc {
     /// lock, which serializes broadcasts so the frontier reaches every
     /// DC monotonically — and a frontier that raced past us is never
     /// un-published: we always broadcast the furthest known stable end.
-    fn publish_locked(&self, published: &mut Lsn, eosl: Lsn) {
-        let eosl = (*published).max(eosl);
-        *published = eosl;
+    /// The low-water mark is broadcast only when it advanced (DCs keep
+    /// the highest mark they were sent, so a repeat changes nothing).
+    fn publish_locked(&self, published: &mut Published, eosl: Lsn) {
+        let eosl = published.eosl.max(eosl);
+        published.eosl = eosl;
         let mut lwm = self.session.acks.lwm().min(eosl);
         // Hold the GC floor at the oldest open pinned snapshot: version
         // chains at or above the published LWM are exact, so a pin must
-        // never sink below it.
-        if let Some(oldest) = self.snapshot_pins.lock().keys().next() {
-            lwm = lwm.min(Lsn(*oldest));
+        // never sink below it. Read the pins after the mark: a pin
+        // registered too late for this read resolves its position after
+        // the mark was computed, and so never lies below it.
+        if let Some(oldest) = self.snapshot_pins.oldest() {
+            lwm = lwm.min(oldest);
         }
         self.session
             .broadcast(TcToDc::EndOfStableLog { tc: self.id, eosl });
-        self.session
-            .broadcast(TcToDc::LowWaterMark { tc: self.id, lwm });
+        if lwm > published.lwm {
+            published.lwm = lwm;
+            self.session
+                .broadcast(TcToDc::LowWaterMark { tc: self.id, lwm });
+        } else {
+            TcStats::bump(&self.stats.lwm_skipped);
+        }
         self.appends_since_force.store(0, Ordering::Relaxed);
     }
 
@@ -431,13 +462,13 @@ impl Tc {
     /// never does.
     pub fn begin(&self) -> Result<TxnId, TcError> {
         self.ensure_available()?;
-        let txn = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
+        let txn = self.txns.next_id();
         let st = TxnState {
             id: txn,
             span: obs::open_span("tc.txn", "txn", txn.0),
             ..TxnState::default()
         };
-        self.txns.lock().insert(txn, Arc::new(Mutex::new(st)));
+        self.txns.insert(txn, st);
         Ok(txn)
     }
 
@@ -453,12 +484,8 @@ impl Tc {
         }
     }
 
-    pub(crate) fn txn_state(&self, txn: TxnId) -> Result<Arc<Mutex<TxnState>>, TcError> {
-        self.txns
-            .lock()
-            .get(&txn)
-            .cloned()
-            .ok_or(TcError::NotActive(txn))
+    pub(crate) fn txn_state(&self, txn: TxnId) -> Result<TxnRef, TcError> {
+        self.txns.get(txn).ok_or(TcError::NotActive(txn))
     }
 
     pub(crate) fn token(txn: TxnId) -> LockToken {
@@ -471,15 +498,19 @@ impl Tc {
         name: LockName,
         mode: LockMode,
     ) -> Result<(), TcError> {
+        // Mark before asking: a request that fails still leaves wait
+        // state the transaction's end must clear.
+        let st = self.txn_state(txn).ok();
+        if let Some(st) = &st {
+            st.lock().locked = true;
+        }
         match self
             .locks
             .lock_waited(Self::token(txn), name, mode, self.cfg.lock_timeout)
         {
             Ok(waited_ns) => {
-                if waited_ns > 0 {
-                    if let Ok(st) = self.txn_state(txn) {
-                        st.lock().lock_wait_ns += waited_ns;
-                    }
+                if let (Some(st), true) = (&st, waited_ns > 0) {
+                    st.lock().lock_wait_ns += waited_ns;
                 }
                 Ok(())
             }
@@ -610,7 +641,7 @@ impl Tc {
         // sketch the rebalance policy splits by. Traffic-weighted on
         // purpose — every executed mutation is one sample.
         self.stats.keys.record(point);
-        let dc = self.session.route(table)?.dc_for(&key);
+        let dc = self.session.dc_for(table, &key)?;
 
         // --- Locking, always before the LSN is drawn (OPSR).
         self.lock_or_abort(txn, LockName::Table(table), LockMode::IX)?;
@@ -725,13 +756,12 @@ impl Tc {
     ///   primary at the resolved snapshot LSN ([`SnapshotSpec::Pinned`]
     ///   pins the transaction's snapshot at first use). Under a shard
     ///   map, a key owned by another TC shard is served at *that*
-    ///   shard's stable position (LSN spaces are per-shard, so a pinned
-    ///   local LSN is meaningless there).
+    ///   shard's fresh snapshot position (LSN spaces are per-shard, so
+    ///   a pinned local LSN is meaningless there).
     /// * [`ReadConsistency::BoundedLag`] / [`ReadConsistency::AtLeast`]
     ///   — replica read when one covers the required frontier, else a
-    ///   lock-free snapshot read on the primary at the stable LSN
-    ///   (never an S lock: a contended fallback must not block behind
-    ///   writers).
+    ///   lock-free fresh snapshot read on the primary (never an S lock:
+    ///   a contended fallback must not block behind writers).
     /// * [`ReadConsistency::Committed`] / [`ReadConsistency::Dirty`] —
     ///   served straight by the routed DC: no lock, no pin, no shard
     ///   forwarding (Figure 2's reader TC).
@@ -749,7 +779,7 @@ impl Tc {
             ReadConsistency::Snapshot(spec) => {
                 if let Some(owner) = self.shard_owner(&key) {
                     let peer = self.peer_tc(owner).ok_or(TcError::NoSuchTc(owner))?;
-                    let at = ReadFlavor::Snapshot(peer.log.stable());
+                    let at = ReadFlavor::Snapshot(peer.fresh_snapshot());
                     return peer.read_flavor(txn, table, key, at);
                 }
                 let at = ReadFlavor::Snapshot(self.resolve_snapshot(&st, spec));
@@ -790,27 +820,54 @@ impl Tc {
                 break;
             }
         }
-        let dc = self.session.route(table)?.dc_for(&key);
+        let dc = self.session.dc_for(table, &key)?;
         self.lock_or_abort(txn, LockName::Table(table), LockMode::IS)?;
         self.lock_or_abort(txn, LockName::Record(table, key.clone()), LockMode::S)?;
         TcStats::bump(&self.stats.lock_reads);
         self.known_value(st, dc, table, &key)
     }
 
+    /// The newest position a snapshot may read at: stable, and at or
+    /// below the visible frontier, so every commit at or below it has
+    /// all of its stamps delivered. A commit is stable before its
+    /// stamps go out; between the force and the last stamp its LSN is
+    /// above the frontier, so a snapshot sees it whole or not at all.
+    pub fn visible_lsn(&self) -> Lsn {
+        self.log.stable().min(self.session.acks.visible())
+    }
+
+    /// The position a fresh snapshot reads at: [`Tc::visible_lsn`],
+    /// once the stamps of every commit already stable are delivered
+    /// (a wait of one stamp round, bounded by the resend interval), so
+    /// the snapshot covers every commit acknowledged before the read
+    /// began — the reader's own last commit included.
+    pub(crate) fn fresh_snapshot(&self) -> Lsn {
+        let target = self.log.stable();
+        let deadline = Instant::now() + self.cfg.resend_interval;
+        while self.session.acks.visible() < target && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        self.visible_lsn()
+    }
+
     /// Resolve which LSN a snapshot read observes; `Pinned` fixes the
     /// transaction's snapshot on first use.
-    fn resolve_snapshot(&self, st: &Arc<Mutex<TxnState>>, spec: SnapshotSpec) -> Lsn {
+    fn resolve_snapshot(&self, st: &TxnRef, spec: SnapshotSpec) -> Lsn {
         match spec {
             SnapshotSpec::At(l) => l,
-            SnapshotSpec::Fresh => self.log.stable(),
+            SnapshotSpec::Fresh => self.fresh_snapshot(),
             SnapshotSpec::Pinned => {
                 let mut g = st.lock();
                 match g.snapshot {
-                    Some(l) => l,
+                    Some((l, _)) => l,
                     None => {
-                        let l = self.log.stable();
-                        g.snapshot = Some(l);
-                        *self.snapshot_pins.lock().entry(l.0).or_insert(0) += 1;
+                        // Pin before resolving: a low-water mark computed
+                        // before the pin is visible was computed before
+                        // the position, so it never exceeds it.
+                        let stripe = self.snapshot_pins.pin(Lsn::NULL);
+                        let l = self.fresh_snapshot();
+                        self.snapshot_pins.repin(stripe, Lsn::NULL, l);
+                        g.snapshot = Some((l, stripe));
                         l
                     }
                 }
@@ -831,7 +888,7 @@ impl Tc {
         if let ReadFlavor::Snapshot(_) = flavor {
             TcStats::bump(&self.stats.snapshot_reads);
         }
-        let dc = self.session.route(table)?.dc_for(&key);
+        let dc = self.session.dc_for(table, &key)?;
         self.ask_value(txn, dc, &LogicalOp::Read { table, key, flavor })
     }
 
@@ -852,8 +909,8 @@ impl Tc {
     /// the read surface ([`Tc::read`]). `Locking` runs the configured
     /// Section 3.1 protocol; every other level takes no lock and asks
     /// the routed DCs for the flavor it names. `Snapshot` scans at the
-    /// resolved snapshot LSN; the replica levels scan the primary at
-    /// the stable LSN, the same fallback a replica-level point read
+    /// resolved snapshot LSN; the replica levels scan the primary at a
+    /// fresh snapshot, the same fallback a replica-level point read
     /// takes.
     pub fn scan_with(
         &self,
@@ -886,7 +943,7 @@ impl Tc {
             }
             ReadConsistency::Snapshot(s) => ReadFlavor::Snapshot(self.resolve_snapshot(&st, s)),
             ReadConsistency::BoundedLag(_) | ReadConsistency::AtLeast(_) => {
-                ReadFlavor::Snapshot(self.log.stable())
+                ReadFlavor::Snapshot(self.fresh_snapshot())
             }
             ReadConsistency::Committed => ReadFlavor::Committed,
             ReadConsistency::Dirty => ReadFlavor::Latest,
@@ -1075,13 +1132,10 @@ impl Tc {
             // stamps publish it — to snapshot readers and (Section
             // 6.2.2's "eliminate the before versions") to read-committed
             // readers at other TCs. Delivery is synchronous and under
-            // the transaction's X locks, so once `commit` returns every
-            // snapshot at or above the stable LSN observes this
-            // transaction. Known gap: snapshot readers take no locks, so
-            // one pinned at the stable LSN between the force and the
-            // last stamp sees some of this transaction's keys stamped
-            // and others not (ROADMAP open item "Close the torn-snapshot
-            // window").
+            // the transaction's X locks. Snapshot readers take no locks;
+            // they resolve to the visible frontier (`Tc::visible_lsn`),
+            // which stays below this commit's LSN until its last stamp
+            // is delivered, so none sees it torn.
             let writes = std::mem::take(&mut st.lock().writes);
             let (commit, stamps) = self.log_commit(txn, writes, TcLogRecord::Commit { txn });
             self.deliver_commit(commit, &stamps)?;
@@ -1126,7 +1180,7 @@ impl Tc {
             recs
         });
         for (_, l, _) in &stamps {
-            self.session.acks.sent(*l);
+            self.session.acks.stamp_sent(*l);
         }
         let commit = Lsn(first.0 + n);
         self.session.acks.bookkeeping(commit);
@@ -1205,26 +1259,28 @@ impl Tc {
     /// Post-commit-point work shared by single-shard commit, cross-TC
     /// coordinator commit and participant decision-apply: lock release
     /// and state removal, once the stamps are delivered.
-    pub(crate) fn finish_commit_local(&self, txn: TxnId, st: &Arc<Mutex<TxnState>>) {
-        self.locks.unlock_all(Self::token(txn));
+    pub(crate) fn finish_commit_local(&self, txn: TxnId, st: &TxnRef) {
+        self.unlock_all(txn, st);
         self.release_pin(st);
-        self.txns.lock().remove(&txn);
+        self.txns.remove(txn);
         obs::close_span(st.lock().span, "tc.txn");
         TcStats::bump(&self.stats.commits);
     }
 
+    /// Release `txn`'s locks; a transaction that never asked for one
+    /// (a snapshot reader) skips the lock manager.
+    fn unlock_all(&self, txn: TxnId, st: &TxnRef) {
+        if st.lock().locked {
+            self.locks.unlock_all(Self::token(txn));
+        }
+    }
+
     /// Drop a transaction's pinned-snapshot registration (if any) so the
     /// published low-water mark may advance past it.
-    pub(crate) fn release_pin(&self, st: &Arc<Mutex<TxnState>>) {
+    pub(crate) fn release_pin(&self, st: &TxnRef) {
         let pin = st.lock().snapshot.take();
-        if let Some(p) = pin {
-            let mut g = self.snapshot_pins.lock();
-            if let Some(n) = g.get_mut(&p.0) {
-                *n -= 1;
-                if *n == 0 {
-                    g.remove(&p.0);
-                }
-            }
+        if let Some((at, stripe)) = pin {
+            self.snapshot_pins.unpin(stripe, at);
         }
     }
 
@@ -1240,7 +1296,7 @@ impl Tc {
     /// [`TcLogRecord::ParticipantAbort`] instead of a plain Abort so
     /// recovery knows its in-doubt window is closed.
     pub(crate) fn rollback(&self, txn: TxnId) -> Result<(), TcError> {
-        let st = match self.txns.lock().remove(&txn) {
+        let st = match self.txns.remove(txn) {
             Some(st) => st,
             None => return Err(TcError::NotActive(txn)),
         };
@@ -1271,7 +1327,7 @@ impl Tc {
             }
             self.force_and_publish();
         }
-        self.locks.unlock_all(Self::token(txn));
+        self.unlock_all(txn, &st);
         obs::close_span(st.lock().span, "tc.txn");
         TcStats::bump(&self.stats.aborts);
         Ok(())
@@ -1285,9 +1341,17 @@ impl Tc {
     /// containing pre-`target` operations stable, record the granted
     /// RSSP, and truncate the log prefix no longer needed for redo *or*
     /// undo. Returns the new RSSP.
+    ///
+    /// Concurrent checkpoints each get their own DC replies (the session
+    /// runs one checkpoint exchange at a time), and the RSSP never moves
+    /// back: a DC may grant less than an earlier checkpoint did (a page
+    /// it could not flush yet), but what the earlier grant made stable
+    /// stays so. The target stops at the low-water mark: an operation
+    /// logged below the target but not yet applied would otherwise land
+    /// on a page after the DC checkpointed it, under the granted RSSP.
     pub fn checkpoint(&self) -> Result<Lsn, TcError> {
         self.ensure_available()?;
-        let target = self.log.last().next();
+        let target = self.log.last().next().min(self.session.acks.lwm().next());
         self.force_and_publish();
         let mut granted = target;
         for dc in self.session.dcs() {
@@ -1296,7 +1360,7 @@ impl Tc {
         }
         self.log_bookkeeping(TcLogRecord::Checkpoint { rssp: granted });
         self.force_log();
-        self.rssp.store(granted.0, Ordering::Relaxed);
+        let granted = Lsn(self.rssp.fetch_max(granted.0, Ordering::Relaxed)).max(granted);
         // Truncation floor: redo needs ≥ RSSP, undo needs every record of
         // a still-active transaction (from its first, see
         // `Tc::enter_log`; one that logged nothing needs none), and
@@ -1307,9 +1371,9 @@ impl Tc {
         // shipper by re-scanning the log, must find those records.
         let oldest_active = self
             .txns
-            .lock()
-            .values()
-            .filter_map(|st| st.lock().first_lsn)
+            .all()
+            .iter()
+            .filter_map(|(_, st)| st.lock().first_lsn)
             .min()
             .unwrap_or(granted);
         let mut keep_from = granted.min(oldest_active);
@@ -1389,8 +1453,8 @@ impl Tc {
     /// Committed point read with bounded-staleness routing: serve from
     /// any replica of the hosting primary whose applied frontier covers
     /// `required`, rotating across qualifying replicas; stale (or
-    /// failed) replicas fall back to a lock-free snapshot read on the
-    /// primary at the stable LSN. Replica state contains only
+    /// failed) replicas fall back to a lock-free fresh snapshot read on
+    /// the primary. Replica state contains only
     /// committed, never-rolled-back data by construction (uncommitted
     /// work is withheld from the ship stream), so no staleness setting
     /// can surface dirty data.
@@ -1401,7 +1465,7 @@ impl Tc {
         key: Key,
         required: Lsn,
     ) -> Result<Option<Vec<u8>>, TcError> {
-        let primary = self.session.route(table)?.dc_for(&key);
+        let primary = self.session.dc_for(table, &key)?;
         let ticket = self.replica_rr.fetch_add(1, Ordering::Relaxed);
         if let Some((replica, link)) =
             self.shipper
@@ -1423,11 +1487,13 @@ impl Tc {
             }
         }
         TcStats::bump(&self.stats.replica_read_fallbacks);
-        // The primary fallback is a *snapshot* read at the stable LSN:
-        // it sees every commit the replica path could have seen, but —
-        // unlike the instant S lock this path once took — it never
-        // queues behind a writer's X lock.
-        self.read_flavor(txn, table, key, ReadFlavor::Snapshot(self.log.stable()))
+        // The primary fallback is a fresh *snapshot* read: it sees every
+        // commit the replica path could have seen (`required` is at most
+        // the stable LSN, and the fresh position covers it once the
+        // stamps below it are delivered), but — unlike the instant S
+        // lock this path once took — it never queues behind a writer's
+        // X lock.
+        self.read_flavor(txn, table, key, ReadFlavor::Snapshot(self.fresh_snapshot()))
     }
 
     /// Failover: promote read-only replica `new` to writable primary for
@@ -1571,12 +1637,12 @@ impl Tc {
         self.log_bookkeeping(TcLogRecord::Promote { old, new, floor });
         self.force_log();
         self.session.reroute(old, new);
-        self.force_and_publish();
+        self.republish();
         Ok(())
     }
 
     pub(crate) fn bump_txn_counter_to(&self, floor: u64) {
-        self.next_txn.fetch_max(floor, Ordering::Relaxed);
+        self.txns.bump_past(floor);
     }
 
     /// Append an operation record and register its LSN as outstanding,

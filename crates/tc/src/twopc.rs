@@ -99,7 +99,7 @@ impl Tc {
     /// map.
     pub fn set_shard_map(&self, map: TcShardMap) {
         let epoch = map.epoch();
-        *self.shard_map.write() = Some(map);
+        self.shard_map.write().update(|m| *m = Some(map.clone()));
         self.clear_fence_up_to(epoch);
     }
 
@@ -139,9 +139,9 @@ impl Tc {
     /// (diagnostics: a quiesced TC should report zero).
     pub fn indoubt_branches(&self) -> usize {
         self.txns
-            .lock()
-            .values()
-            .filter(|st| st.lock().prepared)
+            .all()
+            .iter()
+            .filter(|(_, st)| st.lock().prepared)
             .count()
     }
 
@@ -443,11 +443,11 @@ impl Tc {
     pub fn resolve_indoubt(&self) -> usize {
         let branches: Vec<(TxnId, TcId, TxnId, bool)> = self
             .txns
-            .lock()
-            .iter()
+            .all()
+            .into_iter()
             .filter_map(|(id, st)| {
                 let g = st.lock();
-                g.part_of.map(|(c, gt)| (*id, c, gt, g.prepared))
+                g.part_of.map(|(c, gt)| (id, c, gt, g.prepared))
             })
             .collect();
         let mut resolved = 0;
@@ -595,7 +595,7 @@ impl Tc {
                 }
             }
         }
-        if self.ensure_available().is_ok() && self.txns.lock().contains_key(&gtxn) {
+        if self.ensure_available().is_ok() && self.txns.contains(gtxn) {
             TwopcOutcome::InDoubt
         } else {
             TwopcOutcome::Aborted
@@ -694,9 +694,10 @@ impl Tc {
             prepared: true,
             shard_points,
             span: obs::open_span("tc.txn", "txn", local.0),
+            locked: true,
             ..TxnState::default()
         };
-        self.txns.lock().insert(local, Arc::new(Mutex::new(st)));
+        self.txns.insert(local, st);
         self.participants.lock().insert((coord, gtxn), local);
     }
 }

@@ -308,6 +308,84 @@ fn checkpoint_truncates_tc_log() {
     );
 }
 
+/// A publication whose clamped low-water mark has not advanced skips the
+/// `LowWaterMark` broadcast (and counts it); a DC that lost the mark in
+/// a crash is sent it again by its recovery.
+#[test]
+fn an_unadvanced_low_water_mark_is_not_rebroadcast() {
+    let d = single(
+        TcConfig::default(),
+        DcConfig::default(),
+        TransportKind::Inline,
+        &[TableSpec::plain(T, "t")],
+    );
+    let tc = d.tc(TcId(1));
+    let t = tc.begin().unwrap();
+    tc.insert(t, T, Key::from_u64(1), b"a".to_vec()).unwrap();
+    tc.commit(t).unwrap();
+    // The commit's own publication preceded its stamps' acks: this one
+    // advances the mark past them.
+    tc.force_and_publish();
+    let skipped = tc.stats().snapshot().lwm_skipped;
+    let at_dc = d.dc(DcId(1)).engine().lwm(TcId(1));
+    assert!(at_dc > Lsn(0));
+    tc.force_and_publish();
+    tc.force_and_publish();
+    assert_eq!(tc.stats().snapshot().lwm_skipped, skipped + 2);
+    assert_eq!(d.dc(DcId(1)).engine().lwm(TcId(1)), at_dc);
+    d.crash_dc(DcId(1));
+    d.reboot_dc(DcId(1));
+    assert_eq!(
+        d.dc(DcId(1)).engine().lwm(TcId(1)),
+        at_dc,
+        "recovery re-sends the unadvanced mark"
+    );
+}
+
+/// Two checkpoints at once each get their own DC reply: neither waits
+/// out the control timeout, and the RSSP never moves back.
+#[test]
+fn concurrent_checkpoints_both_return_promptly() {
+    let d = single(
+        TcConfig::default(),
+        DcConfig::default(),
+        TransportKind::Inline,
+        &[TableSpec::plain(T, "t")],
+    );
+    let tc = d.tc(TcId(1));
+    for round in 0..5u64 {
+        // Dirty some pages so each checkpoint has flushing to do.
+        for k in 0..40u64 {
+            let t = tc.begin().unwrap();
+            tc.versioned_write(t, T, Key::from_u64(k * 7), vec![round as u8; 64])
+                .unwrap();
+            tc.commit(t).unwrap();
+        }
+        let rssp_before = tc.rssp();
+        let start = std::sync::Barrier::new(2);
+        let took: Vec<std::time::Duration> = std::thread::scope(|s| {
+            let hs: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let t0 = std::time::Instant::now();
+                        tc.checkpoint().unwrap();
+                        t0.elapsed()
+                    })
+                })
+                .collect();
+            hs.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for t in &took {
+            assert!(
+                *t < std::time::Duration::from_secs(1),
+                "round {round}: a concurrent checkpoint took {t:?}"
+            );
+        }
+        assert!(tc.rssp() >= rssp_before, "round {round}: RSSP moved back");
+    }
+}
+
 #[test]
 fn repeated_crash_recovery_cycles_are_stable() {
     let d = single(

@@ -284,6 +284,100 @@ fn acknowledged_commits_survive_a_crash_amid_concurrent_forces() {
     }
 }
 
+/// An inline link that, for the first `StampCommit` it carries, lets the
+/// DC apply the stamp and then holds the committer inside the call until
+/// released: the commit is stable and one of its keys is stamped, while
+/// the other's stamp is not sent yet.
+struct ParkFirstStamp {
+    inner: Arc<InlineLink>,
+    armed: AtomicBool,
+    parked: std::sync::Mutex<std::sync::mpsc::Sender<()>>,
+    release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+}
+
+impl ParkFirstStamp {
+    fn park_after(&self, msg: &TcToDc) {
+        let is_stamp = matches!(
+            msg,
+            TcToDc::Perform {
+                op: LogicalOp::StampCommit { .. },
+                ..
+            }
+        );
+        if is_stamp && self.armed.swap(false, Ordering::SeqCst) {
+            self.parked.lock().unwrap().send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+    }
+}
+
+impl unbundled::tc::DcLink for ParkFirstStamp {
+    fn send(&self, msg: TcToDc) {
+        self.inner.send(msg.clone());
+        self.park_after(&msg);
+    }
+
+    fn call(&self, msg: TcToDc, replies: &mut Vec<DcToTc>) -> Result<(), TcToDc> {
+        self.inner.call(msg.clone(), replies)?;
+        self.park_after(&msg);
+        Ok(())
+    }
+}
+
+/// A pinned snapshot taken while a two-key commit is stable but only
+/// one of its stamps is delivered sees neither key's write: it resolves
+/// below the commit, not at the stable end.
+#[test]
+fn a_pinned_snapshot_between_two_stamps_sees_neither_write() {
+    let mut d = Deployment::new();
+    d.add_dc(DC, DcConfig::default());
+    d.create_table(DC, TableSpec::plain(P, "plain"));
+    d.add_tc(WRITER, TcConfig::default());
+    d.route(WRITER, P, TableRoute::Single(DC));
+    let tc = d.tc(WRITER);
+    let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel();
+    let link = Arc::new(ParkFirstStamp {
+        inner: InlineLink::new(DcSlot::new(d.dc(DC)), ReplySink::new(tc.clone())),
+        armed: AtomicBool::new(false),
+        parked: std::sync::Mutex::new(parked_tx),
+        release: std::sync::Mutex::new(release_rx),
+    });
+    tc.register_dc(DC, link.clone());
+    let (a, b) = (Key::from_u64(1), Key::from_u64(2));
+    let t = tc.begin().unwrap();
+    tc.insert(t, P, a.clone(), b"old".to_vec()).unwrap();
+    tc.insert(t, P, b.clone(), b"old".to_vec()).unwrap();
+    tc.commit(t).unwrap();
+
+    link.armed.store(true, Ordering::SeqCst);
+    std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let t = tc.begin().unwrap();
+            tc.update(t, P, a.clone(), b"new".to_vec()).unwrap();
+            tc.update(t, P, b.clone(), b"new".to_vec()).unwrap();
+            tc.commit(t).unwrap();
+        });
+        parked_rx.recv().unwrap();
+        let pinned = ReadConsistency::Snapshot(SnapshotSpec::Pinned);
+        let r = tc.begin().unwrap();
+        let seen = [
+            tc.read(r, P, a.clone(), pinned).unwrap(),
+            tc.read(r, P, b.clone(), pinned).unwrap(),
+        ];
+        tc.commit(r).unwrap();
+        release_tx.send(()).unwrap();
+        writer.join().unwrap();
+        let old = Some(b"old".to_vec());
+        assert_eq!(seen, [old.clone(), old], "torn snapshot: {seen:?}");
+    });
+    // Once the commit has returned, a fresh snapshot sees both keys.
+    let fresh = ReadConsistency::Snapshot(SnapshotSpec::Fresh);
+    for k in [a, b] {
+        assert_eq!(read_once(&tc, P, k, fresh), Some(b"new".to_vec()));
+    }
+}
+
 /// Reproduce a crash that left the given operations of one unresolved
 /// transaction stable in the writer's log, and nothing else of it: append
 /// the `Op` records `Tc::mutate` writes for them, force, crash the TC and
