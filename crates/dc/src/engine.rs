@@ -32,7 +32,6 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use unbundled_core::{
     DcError, DcId, Key, LogicalOp, Lsn, OpResult, PageId, ReadFlavor, RequestId, StoredRecord,
     SysTxnId, TableId, TableSpec, TcId,
@@ -1177,26 +1176,6 @@ impl DcEngine {
             self.defer_smo(page.table, pid);
         }
         FlushResult::Flushed
-    }
-
-    /// Flush with bounded waiting (page-sync algorithms 1/3 freeze the
-    /// page and wait for the low-water mark to advance).
-    pub fn flush_page_blocking(&self, pid: PageId, wait: Duration) -> FlushResult {
-        let deadline = Instant::now() + wait;
-        loop {
-            match self.flush_page(pid) {
-                FlushResult::NotEligible => {
-                    if Instant::now() >= deadline {
-                        if let Some(arc) = self.pool.get_cached(pid) {
-                            arc.write().sync_freeze = false;
-                        }
-                        return FlushResult::NotEligible;
-                    }
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-                other => return other,
-            }
-        }
     }
 
     /// Flush every dirty page that is currently eligible. Returns the

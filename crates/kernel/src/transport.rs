@@ -14,6 +14,14 @@
 //!   Control-plane messages (EOSL, LWM, checkpoint, restart) are
 //!   reliable and ordered, as the paper assumes for the recovery
 //!   conversations.
+//!
+//! A queued hop waits at both ends: the DC worker for the next request,
+//! and the TC client for its reply. Both ends wait in the one wait of
+//! the vendored `crossbeam` channel: spin briefly, yield the core until
+//! a fixed 20 µs bound has passed, and only then park. A
+//! closed-loop client's next request and a DC's reply usually land
+//! within the bound, so a hop costs no futex sleep or wake on either
+//! side; a sender wakes a receiver only when one is parked.
 
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
@@ -163,7 +171,10 @@ enum QueuedMsg {
     Stop,
 }
 
-/// Channel transport with worker threads and fault injection.
+/// Channel transport with worker threads and fault injection. Workers
+/// take requests from one channel; a worker that finds it empty spins,
+/// yields, then parks (see the module docs), so a request sent soon
+/// after the last one is picked up without a wake-up call.
 pub struct QueuedLink {
     tx: Sender<QueuedMsg>,
     workers: Mutex<Vec<JoinHandle<()>>>,

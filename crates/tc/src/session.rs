@@ -33,6 +33,7 @@ use crate::acks::AckTracker;
 use crate::routing::{DcLink, TableRoute};
 use crate::stats::TcStats;
 use crate::tc::TcConfig;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
@@ -54,40 +55,13 @@ const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
 /// An operation's outcome as a DC reports it.
 type OpReply = Result<OpResult, DcError>;
 
-/// A one-shot reply cell a waiter blocks on.
-pub(crate) struct Slot<T> {
-    val: Mutex<Option<T>>,
-    cv: Condvar,
-}
-
-impl<T> Slot<T> {
-    /// Store `v` unless a value is already waiting; `false` means the
-    /// slot was full and `v` was dropped.
-    fn fill(&self, v: T) -> bool {
-        let mut g = self.val.lock();
-        if g.is_some() {
-            return false;
-        }
-        *g = Some(v);
-        self.cv.notify_all();
-        true
-    }
-
-    /// Block until the slot is filled or `deadline` passes; take the
-    /// value.
-    fn wait(&self, deadline: Instant) -> Option<T> {
-        let mut g = self.val.lock();
-        while g.is_none() {
-            if self.cv.wait_until(&mut g, deadline).timed_out() {
-                break;
-            }
-        }
-        g.take()
-    }
-}
+/// A one-shot reply cell: a one-message channel. A reply that finds it
+/// full is stale. A waiter waits on it the way the queued transport's
+/// DC worker waits on its inbound channel: spin, yield, then park.
+type Slot<T> = (Sender<T>, Receiver<T>);
 
 /// One shard of a [`Waiters`] map.
-type WaiterShard<K, T> = Padded<Mutex<HashMap<K, Arc<Slot<T>>>>>;
+type WaiterShard<K, T> = Padded<Mutex<HashMap<K, Slot<T>>>>;
 
 /// Waiters keyed by what their reply names. Waiters registering the
 /// same key share one slot. The map is sharded by key, so concurrent
@@ -105,27 +79,23 @@ impl<K: Copy + Eq + Hash, T> Waiters<K, T> {
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Arc<Slot<T>>>> {
+    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Slot<T>>> {
         &self.shards[(self.hasher.hash_one(key) % STRIPES as u64) as usize].0
     }
 
     /// Register interest in the reply for `key`.
     pub(crate) fn expect(&self, key: K) -> Waiter<'_, K, T> {
-        let slot = self
+        let rx = self
             .shard(&key)
             .lock()
             .entry(key)
-            .or_insert_with(|| {
-                Arc::new(Slot {
-                    val: Mutex::new(None),
-                    cv: Condvar::new(),
-                })
-            })
+            .or_insert_with(|| bounded(1))
+            .1
             .clone();
         Waiter {
             owner: self,
             key,
-            slot,
+            rx,
         }
     }
 
@@ -134,8 +104,8 @@ impl<K: Copy + Eq + Hash, T> Waiters<K, T> {
     fn fill(&self, replies: impl IntoIterator<Item = (K, T)>) -> u64 {
         let mut unclaimed = 0;
         for (key, v) in replies {
-            let slot = self.shard(&key).lock().get(&key).cloned();
-            if !slot.is_some_and(|slot| slot.fill(v)) {
+            let tx = self.shard(&key).lock().get(&key).map(|(tx, _)| tx.clone());
+            if tx.is_none_or(|tx| tx.try_send(v).is_err()) {
                 unclaimed += 1;
             }
         }
@@ -160,13 +130,13 @@ impl<K: Copy + Eq + Hash, T> Waiters<K, T> {
 pub(crate) struct Waiter<'a, K: Copy + Eq + Hash, T> {
     owner: &'a Waiters<K, T>,
     key: K,
-    slot: Arc<Slot<T>>,
+    rx: Receiver<T>,
 }
 
 impl<K: Copy + Eq + Hash, T> Waiter<'_, K, T> {
     /// Block until the reply arrives or `deadline` passes.
     pub(crate) fn wait(&self, deadline: Instant) -> Option<T> {
-        self.slot.wait(deadline)
+        self.rx.recv_deadline(deadline).ok()
     }
 }
 
@@ -175,7 +145,7 @@ impl<K: Copy + Eq + Hash, T> Drop for Waiter<'_, K, T> {
         let mut map = self.owner.shard(&self.key).lock();
         if map
             .get(&self.key)
-            .is_some_and(|s| Arc::ptr_eq(s, &self.slot))
+            .is_some_and(|(_, rx)| rx.same_channel(&self.rx))
         {
             map.remove(&self.key);
         }
